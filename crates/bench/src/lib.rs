@@ -1,11 +1,11 @@
-//! Shared measurement harness for the experiment binaries and wall-clock
-//! benches. See EXPERIMENTS.md at the workspace root for the experiment
-//! index (E1–E16) and the recorded results.
+//! Shared harness for the paper's experiment binaries (RMR, DSM, fairness,
+//! priority, property and checker tables) and the per-op `uncontended`
+//! bench. Wall-clock performance is measured by `perfbench/` alone. See
+//! EXPERIMENTS.md at the workspace root for the experiment index and the
+//! recorded results.
 
 #![warn(missing_docs)]
 
 pub mod cli;
-pub mod jsonio;
 pub mod real;
 pub mod tables;
-pub mod workloads;

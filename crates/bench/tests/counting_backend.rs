@@ -8,9 +8,7 @@
 //! *identical* per-operation RMR verdicts from both accountants.
 
 use rmr_core::swmr::SwmrWriterPriority;
-use rmr_mutex::mem::{
-    self, Backend, Counting, Native, Ordering, SeqCstNative, SharedBool, SharedWord,
-};
+use rmr_mutex::mem::{self, Backend, Counting, Native, Ordering, SharedBool, SharedWord};
 use rmr_sim::cost::{AccessKind, CcModel, CostModel, DsmModel};
 use rmr_sim::mem::VarId;
 use rmr_sim::rng::SplitMix64;
@@ -214,8 +212,8 @@ fn counting_bools_match_cc_model() {
     }
 }
 
-/// Zero-cost guard, part 1: the Native wrappers (and the SeqCst policy
-/// twins) are layout-transparent over the std atomics they wrap.
+/// Zero-cost guard, part 1: the Native wrappers are layout-transparent
+/// over the std atomics they wrap.
 #[test]
 fn native_wrappers_are_layout_transparent() {
     use std::mem::{align_of, size_of};
@@ -224,10 +222,6 @@ fn native_wrappers_are_layout_transparent() {
     assert_eq!(align_of::<<Native as Backend>::Bool>(), align_of::<AtomicBool>());
     assert_eq!(size_of::<<Native as Backend>::Word>(), size_of::<AtomicU64>());
     assert_eq!(align_of::<<Native as Backend>::Word>(), align_of::<AtomicU64>());
-    assert_eq!(size_of::<<SeqCstNative as Backend>::Bool>(), size_of::<AtomicBool>());
-    assert_eq!(align_of::<<SeqCstNative as Backend>::Bool>(), align_of::<AtomicBool>());
-    assert_eq!(size_of::<<SeqCstNative as Backend>::Word>(), size_of::<AtomicU64>());
-    assert_eq!(align_of::<<SeqCstNative as Backend>::Word>(), align_of::<AtomicU64>());
 }
 
 /// Zero-cost guard, part 1b: every ordering-taking method of the Native
@@ -278,14 +272,6 @@ fn native_methods_forward_every_legal_ordering() {
     Native::fence(Ordering::SeqCst);
     Native::fence(Ordering::Release);
     Native::fence(Ordering::Acquire);
-
-    // The policy backend runs the same sequence — annotations ignored,
-    // semantics identical.
-    let p = <SeqCstNative as Backend>::Word::new(0);
-    assert_eq!(p.fetch_add(5, Ordering::Relaxed), 0);
-    assert_eq!(p.swap(1, Ordering::Relaxed), 5);
-    assert_eq!(p.compare_exchange(1, 2, Ordering::Relaxed, Ordering::Relaxed), Ok(1));
-    SeqCstNative::fence(Ordering::Release);
 }
 
 /// Zero-cost guard, part 2: a Native-backed lock (the default type — the

@@ -73,8 +73,8 @@
 //! Writers pay: a revoking writer's scan is **O(table size)** RMRs on top
 //! of the inner lock's cost — the wrapper deliberately trades the paper's
 //! per-writer O(1) bound for reader throughput, which is the right trade
-//! only for read-mostly traffic. `bravo_table` in `rmr-bench` measures
-//! both sides.
+//! only for read-mostly traffic. The `hot-bravo` workload of `perfbench`
+//! measures both sides.
 //!
 //! # Example
 //!
@@ -648,6 +648,7 @@ mod tests {
     use super::*;
     use rmr_baselines::TicketRwLock;
     use rmr_core::mwmr::MwmrStarvationFree;
+    use rmr_core::swmr::SwmrWriterPriority;
     use rmr_core::RwLock;
     use rmr_mutex::mem::{self, Counting};
     use std::sync::atomic::{AtomicBool, Ordering};
@@ -827,33 +828,93 @@ mod tests {
         assert_eq!(lock.slot_index(pid(7)), 0);
     }
 
+    /// Smallest table (from 64 slots up) on which pids `0..readers` hash
+    /// to distinct slots, so every biased passage is guaranteed the fast
+    /// path.
+    fn injective_table_slots(readers: usize) -> usize {
+        let mut slots = 64;
+        loop {
+            let cfg = BravoConfig { table_slots: slots, ..BravoConfig::default() };
+            let probe = Bravo::with_config(TicketRwLock::new(1), cfg);
+            let mut seen = std::collections::HashSet::new();
+            if (0..readers).all(|i| seen.insert(probe.slot_index(pid(i)))) {
+                return slots;
+            }
+            slots *= 2;
+            assert!(slots <= 1 << 16, "no injective table for {readers} pids");
+        }
+    }
+
+    /// `readers` threads run `passages` biased read passages each, after
+    /// one warm-up passage, over a wrapper whose inner lock alone is on
+    /// `Counting`: every passage must take the fast path and perform zero
+    /// inner-lock operations. Returns the lock for follow-up checks.
+    fn assert_biased_readers_skip_inner<L>(
+        inner: L,
+        readers: usize,
+        passages: usize,
+    ) -> Arc<Bravo<L>>
+    where
+        L: RawRwLock + Send + Sync + 'static,
+    {
+        let cfg =
+            BravoConfig { table_slots: injective_table_slots(readers), ..BravoConfig::default() };
+        let lock = Arc::new(Bravo::new_in(inner, cfg, Native));
+        let barrier = Arc::new(std::sync::Barrier::new(readers));
+        let threads: Vec<_> = (0..readers)
+            .map(|i| {
+                let lock = Arc::clone(&lock);
+                let barrier = Arc::clone(&barrier);
+                std::thread::spawn(move || {
+                    // Meet before anything can panic, so a failing reader
+                    // never strands the others at the barrier.
+                    barrier.wait();
+                    mem::set_thread_slot(i + 1);
+                    let t = lock.read_lock(pid(i));
+                    lock.read_unlock(pid(i), t);
+                    for _ in 0..passages {
+                        mem::reset_thread_tally();
+                        let t = lock.read_lock(pid(i));
+                        assert!(
+                            t.is_fast(),
+                            "pid {i} fell off the fast path on an injective table"
+                        );
+                        lock.read_unlock(pid(i), t);
+                        let tally = mem::thread_tally();
+                        assert_eq!(
+                            tally.ops, 0,
+                            "pid {i}'s biased read touched the inner lock: {tally:?}"
+                        );
+                    }
+                })
+            })
+            .collect();
+        for t in threads {
+            t.join().unwrap();
+        }
+        assert!(lock.is_quiescent());
+        lock
+    }
+
     #[test]
     fn biased_steady_state_performs_zero_inner_lock_ops() {
         // The acceptance criterion of the subsystem: inner lock over
         // `Counting`, wrapper over `Native` — the thread tally then counts
         // *only* inner-lock operations, and a biased read passage must
-        // score zero.
-        let lock: Bravo<TicketRwLock<Counting>, Native> =
-            Bravo::new_in(TicketRwLock::new_in(4, Counting), BravoConfig::default(), Native);
-        mem::set_thread_slot(1);
-        // Warm-up (still fast: the CAS/store hit only Native table slots).
-        let t = lock.read_lock(pid(0));
-        assert!(t.is_fast());
-        lock.read_unlock(pid(0), t);
-
-        mem::reset_thread_tally();
-        for _ in 0..100 {
-            let t = lock.read_lock(pid(0));
-            lock.read_unlock(pid(0), t);
+        // score zero, for a lone reader and for concurrent readers alike.
+        for readers in [1, 4] {
+            assert_biased_readers_skip_inner(TicketRwLock::new_in(4, Counting), readers, 500);
+            assert_biased_readers_skip_inner(SwmrWriterPriority::new_in(Counting), readers, 500);
         }
-        let tally = mem::thread_tally();
-        assert_eq!(tally.ops, 0, "biased read passages touched the inner lock: {tally:?}");
 
         // Contrast: after a revocation the slow path pays the inner cost.
+        let lock = assert_biased_readers_skip_inner(TicketRwLock::new_in(4, Counting), 1, 1);
         let () = lock.write_lock(pid(1));
         lock.write_unlock(pid(1), ());
+        mem::set_thread_slot(1);
         mem::reset_thread_tally();
         let t = lock.read_lock(pid(0));
+        assert!(!t.is_fast());
         lock.read_unlock(pid(0), t);
         assert!(mem::thread_tally().ops > 0, "slow path must go through the inner lock");
     }

@@ -2,7 +2,7 @@
 //! every passage to an [`rmr_obs::Recorder`].
 //!
 //! This is the instrumentation story for code that works at the *raw*
-//! tier (the bench workload drivers, compositions like
+//! tier (benchmark probes, compositions like
 //! `Observed<Bravo<…>>`): wrap any [`RawRwLock`] and every acquire,
 //! release and bounded attempt is counted, classified
 //! contended-vs-uncontended, and latency-histogrammed — while the
@@ -16,9 +16,10 @@
 //! With the default [`NoopRecorder`](rmr_obs::NoopRecorder) every hook
 //! is behind `if R::ENABLED { … }` with `ENABLED = false`: the branch
 //! const-folds and the wrapper monomorphizes to plain forwarding — the
-//! acceptance test below proves the `Counting` tally is identical op
-//! for op. With a live [`StatsRecorder`](rmr_obs::StatsRecorder), each
-//! hook performs a handful of `Relaxed` writes to the calling pid's own
+//! test `noop_recorder_footprint_is_identical_op_for_op` below proves the
+//! `Counting` tally is identical op for op. With a live
+//! [`StatsRecorder`](rmr_obs::StatsRecorder), each hook performs a
+//! handful of `Relaxed` writes to the calling pid's own
 //! cache-padded slot: local-slot operations, free under the CC cost
 //! model and invisible to the `Counting` backend (the recorder
 //! deliberately uses plain `std` atomics, never `B`-typed ones) — so an
@@ -217,8 +218,84 @@ impl<L, R> fmt::Debug for Observed<L, R> {
 mod tests {
     use super::*;
     use crate::mwmr::MwmrStarvationFree;
+    use crate::RwLock;
+    use rmr_mutex::mem::{self, Backend, Counting, Ordering, SharedWord};
     use rmr_obs::{NoopRecorder, StatsRecorder};
     use std::sync::Arc;
+
+    /// A disabled recorder whose every hook touches `Counting` memory: a
+    /// hook that escapes its `if R::ENABLED` guard shows up in the tally.
+    struct Tripwire(<Counting as Backend>::Word);
+
+    impl Tripwire {
+        fn new() -> Self {
+            Self(SharedWord::new(0))
+        }
+    }
+
+    impl Recorder for Tripwire {
+        const ENABLED: bool = false;
+
+        fn now(&self) -> u64 {
+            self.0.load(Ordering::Relaxed)
+        }
+
+        fn add(&self, _pid: usize, _event: Event, n: u64) {
+            self.0.fetch_add(n, Ordering::Relaxed);
+        }
+
+        fn record(&self, _pid: usize, _metric: Metric, value: u64) {
+            self.0.store(value, Ordering::Relaxed);
+        }
+    }
+
+    /// The `Counting` tally of `n` rounds of `passage`, after one warm-up
+    /// round (compulsory first-touch misses are not part of the claim).
+    fn footprint(n: u32, mut passage: impl FnMut()) -> mem::Tally {
+        mem::set_thread_slot(1);
+        passage();
+        mem::reset_thread_tally();
+        for _ in 0..n {
+            passage();
+        }
+        mem::thread_tally()
+    }
+
+    /// One read, one try-read and one write passage with pid 0.
+    fn raw_round<L: RawTryReadLock>(lock: &L) {
+        let me = Pid::from_index(0);
+        let t = lock.read_lock(me);
+        lock.read_unlock(me, t);
+        let t = lock.try_read_lock(me).expect("uncontended");
+        lock.read_unlock(me, t);
+        let t = lock.write_lock(me);
+        lock.write_unlock(me, t);
+    }
+
+    #[test]
+    fn noop_recorder_footprint_is_identical_op_for_op() {
+        const N: u32 = 100;
+        let bare = MwmrStarvationFree::new_in(4, Counting);
+        let want = footprint(N, || raw_round(&bare));
+        assert!(want.ops > 0, "the bare passages execute shared ops");
+
+        let noop = Observed::new(MwmrStarvationFree::new_in(4, Counting), NoopRecorder);
+        assert_eq!(footprint(N, || raw_round(&noop)), want, "Observed<_, NoopRecorder>");
+        let trip = Observed::new(MwmrStarvationFree::new_in(4, Counting), Tripwire::new());
+        assert_eq!(footprint(N, || raw_round(&trip)), want, "an Observed hook escaped R::ENABLED");
+
+        // The typed front end's own seam (`RwLock`'s `R`), leased pids
+        // included: the lease table is plain std memory, so a disabled
+        // recorder leaves exactly the raw lock's footprint.
+        let typed = RwLock::with_raw(0u64, MwmrStarvationFree::new_in(4, Counting))
+            .with_recorder(Tripwire::new());
+        let typed_round = || {
+            drop(typed.read());
+            drop(typed.try_read().expect("uncontended"));
+            *typed.write() += 1;
+        };
+        assert_eq!(footprint(N, typed_round), want, "an RwLock hook escaped R::ENABLED");
+    }
 
     #[test]
     fn counts_acquires_releases_and_try_attempts() {

@@ -209,7 +209,8 @@ pub fn release_pid(registry: &Arc<PidRegistry>, pid: Pid, source: PidSource) {
 /// The third type parameter is an `rmr-obs` [`Recorder`], defaulted to
 /// [`NoopRecorder`]: every hook sits behind `if R::ENABLED { … }`, which
 /// const-folds away, so the default lock is bit-identical to the
-/// uninstrumented one (the `Counting` backend proves it op for op).
+/// uninstrumented one (the `Counting` backend proves it op for op in
+/// `observed::tests::noop_recorder_footprint_is_identical_op_for_op`).
 /// [`RwLock::with_recorder`] swaps in a live recorder — typically an
 /// `Arc<StatsRecorder>` — and every passage is then counted, classified
 /// contended/uncontended and latency-histogrammed.

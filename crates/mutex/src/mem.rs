@@ -12,10 +12,6 @@
 //!   argument verbatim. After monomorphization this is exactly the
 //!   hand-written code: zero cost, and the default everywhere
 //!   (`Lock<B = Native>`), so public APIs are unchanged.
-//! * [`SeqCstNative`] — [`Native`] with every ordering argument *ignored*
-//!   and strengthened to `SeqCst`: the pre-relaxation workspace policy as
-//!   a selectable backend, kept so the `uncontended_table` bench (E18) can
-//!   measure exactly what the per-site relaxation buys on real silicon.
 //! * [`Counting`] — the same `std` atomics plus per-variable *cached-copy
 //!   accounting* that replicates `rmr-sim`'s CC and DSM cost models on the
 //!   shipped implementations. Every access tallies, in thread-local
@@ -25,7 +21,7 @@
 //!   actually deploy is O(1) RMR" (experiment E13, the `real_rmr_table`
 //!   binary in `rmr-bench`).
 //!
-//! A fourth backend, [`Sched`](crate::sched::Sched), lives in
+//! A third backend, [`Sched`](crate::sched::Sched), lives in
 //! [`crate::sched`]: it routes every operation through a deterministic
 //! cooperative scheduler so the shipped lock code can be model-checked
 //! interleaving by interleaving (the `rmr-check` crate, experiment E14).
@@ -325,124 +321,6 @@ impl SharedWord for NativeWord {
 }
 
 // ---------------------------------------------------------------------
-// SeqCstNative: the pre-relaxation policy as a selectable backend
-// ---------------------------------------------------------------------
-
-/// [`Native`] with every [`Ordering`] argument ignored and strengthened to
-/// `SeqCst` — the workspace's pre-PR-7 blanket policy, preserved as a
-/// backend so its cost is measurable rather than historical. The
-/// `uncontended_table` bench (E18) runs every lock once over [`Native`]
-/// (per-site orderings) and once over this backend (blanket `SeqCst`); the
-/// delta is what the relaxation bought on the host.
-///
-/// Semantically this backend is always correct wherever [`Native`] is:
-/// strengthening orderings never introduces behaviors.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SeqCstNative;
-
-impl Backend for SeqCstNative {
-    type Bool = SeqCstBool;
-    type Word = SeqCstWord;
-
-    const NAME: &'static str = "seqcst";
-
-    #[inline]
-    fn fence(order: Ordering) {
-        // Keep std's Relaxed panic, then strengthen.
-        assert!(order != Ordering::Relaxed, "there is no such thing as a relaxed fence");
-        std::sync::atomic::fence(Ordering::SeqCst);
-    }
-}
-
-/// [`SeqCstNative`]'s boolean: a `#[repr(transparent)]` `AtomicBool`
-/// that upgrades every operation to `SeqCst`.
-#[derive(Debug, Default)]
-#[repr(transparent)]
-pub struct SeqCstBool(AtomicBool);
-
-impl SharedBool for SeqCstBool {
-    #[inline]
-    fn new(value: bool) -> Self {
-        Self(AtomicBool::new(value))
-    }
-
-    #[inline]
-    fn load(&self, _order: Ordering) -> bool {
-        self.0.load(Ordering::SeqCst)
-    }
-
-    #[inline]
-    fn store(&self, value: bool, _order: Ordering) {
-        self.0.store(value, Ordering::SeqCst);
-    }
-
-    #[inline]
-    fn swap(&self, value: bool, _order: Ordering) -> bool {
-        self.0.swap(value, Ordering::SeqCst)
-    }
-
-    #[inline]
-    fn compare_exchange(
-        &self,
-        current: bool,
-        new: bool,
-        _success: Ordering,
-        _failure: Ordering,
-    ) -> Result<bool, bool> {
-        self.0.compare_exchange(current, new, Ordering::SeqCst, Ordering::SeqCst)
-    }
-}
-
-/// [`SeqCstNative`]'s word: a `#[repr(transparent)]` `AtomicU64` that
-/// upgrades every operation to `SeqCst`.
-#[derive(Debug, Default)]
-#[repr(transparent)]
-pub struct SeqCstWord(AtomicU64);
-
-impl SharedWord for SeqCstWord {
-    #[inline]
-    fn new(value: u64) -> Self {
-        Self(AtomicU64::new(value))
-    }
-
-    #[inline]
-    fn load(&self, _order: Ordering) -> u64 {
-        self.0.load(Ordering::SeqCst)
-    }
-
-    #[inline]
-    fn store(&self, value: u64, _order: Ordering) {
-        self.0.store(value, Ordering::SeqCst);
-    }
-
-    #[inline]
-    fn swap(&self, value: u64, _order: Ordering) -> u64 {
-        self.0.swap(value, Ordering::SeqCst)
-    }
-
-    #[inline]
-    fn fetch_add(&self, delta: u64, _order: Ordering) -> u64 {
-        self.0.fetch_add(delta, Ordering::SeqCst)
-    }
-
-    #[inline]
-    fn fetch_sub(&self, delta: u64, _order: Ordering) -> u64 {
-        self.0.fetch_sub(delta, Ordering::SeqCst)
-    }
-
-    #[inline]
-    fn compare_exchange(
-        &self,
-        current: u64,
-        new: u64,
-        _success: Ordering,
-        _failure: Ordering,
-    ) -> Result<u64, u64> {
-        self.0.compare_exchange(current, new, Ordering::SeqCst, Ordering::SeqCst)
-    }
-}
-
-// ---------------------------------------------------------------------
 // Counting: the same semantics plus RMR accounting
 // ---------------------------------------------------------------------
 
@@ -709,8 +587,6 @@ mod tests {
         assert_eq!(align_of::<NativeBool>(), align_of::<AtomicBool>());
         assert_eq!(size_of::<NativeWord>(), size_of::<AtomicU64>());
         assert_eq!(align_of::<NativeWord>(), align_of::<AtomicU64>());
-        assert_eq!(size_of::<SeqCstBool>(), size_of::<AtomicBool>());
-        assert_eq!(size_of::<SeqCstWord>(), size_of::<AtomicU64>());
     }
 
     #[test]
@@ -731,31 +607,10 @@ mod tests {
     }
 
     #[test]
-    fn seqcst_backend_matches_native_semantics() {
-        // Same results for the same single-threaded op sequence whatever
-        // the (ignored) annotations — the strengthened backend differs
-        // only in fencing, never in values.
-        let n = NativeWord::new(1);
-        let s = SeqCstWord::new(1);
-        assert_eq!(n.fetch_add(3, Relaxed), s.fetch_add(3, Relaxed));
-        assert_eq!(n.swap(7, Release), s.swap(7, Release));
-        assert_eq!(
-            n.compare_exchange(7, 9, Acquire, Relaxed),
-            s.compare_exchange(7, 9, Acquire, Relaxed)
-        );
-        assert_eq!(n.load(Relaxed), s.load(Relaxed));
-        let nb = NativeBool::new(false);
-        let sb = SeqCstBool::new(false);
-        assert_eq!(nb.swap(true, Relaxed), sb.swap(true, Relaxed));
-        assert_eq!(nb.load(Acquire), sb.load(Acquire));
-    }
-
-    #[test]
     fn fences_execute() {
         Native::fence(SeqCst);
         Native::fence(Acquire);
         Native::fence(Release);
-        SeqCstNative::fence(Acquire);
         Counting::fence(SeqCst);
     }
 
@@ -763,12 +618,6 @@ mod tests {
     #[should_panic]
     fn relaxed_fence_panics() {
         Native::fence(Relaxed);
-    }
-
-    #[test]
-    #[should_panic]
-    fn seqcst_backend_relaxed_fence_panics() {
-        SeqCstNative::fence(Relaxed);
     }
 
     #[test]
@@ -853,6 +702,5 @@ mod tests {
     fn backend_names() {
         assert_eq!(Native::NAME, "native");
         assert_eq!(Counting::NAME, "counting");
-        assert_eq!(SeqCstNative::NAME, "seqcst");
     }
 }

@@ -12,10 +12,11 @@
 //!   is guarded by `if R::ENABLED { … }`, so with the default
 //!   [`NoopRecorder`] (`ENABLED = false`) the branch and everything
 //!   behind it const-folds away and the instrumented code monomorphizes
-//!   to exactly the uninstrumented code. The acceptance tests prove this
+//!   to exactly the uninstrumented code. The acceptance test proves this
 //!   on the `Counting` backend: a `NoopRecorder`-instrumented passage
 //!   tallies the same shared-memory operations, op for op, as the bare
-//!   lock (`obs_table` in `rmr-bench` exits nonzero if not).
+//!   lock (`rmr-core`'s
+//!   `observed::tests::noop_recorder_footprint_is_identical_op_for_op`).
 //! * [`StatsRecorder`] — the real recorder: cache-padded per-pid slots
 //!   of event counters ([`Event`]) and log-bucketed HDR-style latency
 //!   histograms ([`Metric`], [`hist::Histogram`]), plus an optional
@@ -194,7 +195,8 @@ pub trait Recorder: Send + Sync {
 /// `ENABLED = false` turns every `if R::ENABLED { … }` hook site into
 /// dead code, so a `NoopRecorder`-instrumented lock monomorphizes to the
 /// exact uninstrumented code path — proven op-for-op on the `Counting`
-/// backend by the acceptance tests.
+/// backend by `rmr-core`'s
+/// `observed::tests::noop_recorder_footprint_is_identical_op_for_op`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct NoopRecorder;
 

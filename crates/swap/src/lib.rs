@@ -77,8 +77,8 @@
 //!   first passage and invalidated only by an actual update; the epoch
 //!   publish and clear hit the reader's own padded slot, which no one
 //!   else writes — in the CC model that is **0 RMRs** while no write is
-//!   in flight. The `Counting`-backend acceptance proof in
-//!   `swap_table` asserts exactly this and exits nonzero otherwise.
+//!   in flight. The `Counting`-backend acceptance test
+//!   `steady_state_load_performs_zero_cc_rmrs` asserts exactly this.
 //! * **Write passage**: O(copy of `T`) + the raw lock's O(1) RMR
 //!   passage + an **O(registry-capacity) grace scan** — every slot is
 //!   read once (eager waits on each until it moves; batched reads each
@@ -985,34 +985,58 @@ mod tests {
         assert_eq!(snap.swaps(), UPDATES);
     }
 
+    /// `readers` threads run `passages` warm load passages each over a
+    /// fully `Counting`-instrumented snapshot (no writer active): every
+    /// passage must cost zero cache-coherent RMRs — the epoch stamp hits
+    /// the reader's own padded slot, everything else is a cached read.
+    fn assert_steady_state_loads_are_rmr_free<P>(policy: P, readers: usize, passages: usize)
+    where
+        P: RetirePolicy + Send + Sync + 'static,
+    {
+        let snap = Arc::new(Snapshot::with_raw_in(
+            99u64,
+            MwmrStarvationFree::new_in(readers, Counting),
+            policy,
+            readers,
+            Counting,
+        ));
+        let barrier = Arc::new(std::sync::Barrier::new(readers));
+        let threads: Vec<_> = (0..readers)
+            .map(|i| {
+                let snap = Arc::clone(&snap);
+                let barrier = Arc::clone(&barrier);
+                std::thread::spawn(move || {
+                    // Meet before anything can panic, so a failing reader
+                    // never strands the others at the barrier.
+                    barrier.wait();
+                    let pid = snap.registry().allocate().unwrap();
+                    mem::set_thread_slot(i + 1);
+                    // Warm-up passage: first touches are compulsory misses.
+                    drop(snap.load_with(pid));
+                    for _ in 0..passages {
+                        mem::reset_thread_tally();
+                        let g = snap.load_with(pid);
+                        assert_eq!(*g, 99);
+                        drop(g);
+                        let tally = mem::thread_tally();
+                        assert_eq!(tally.cc, 0, "steady-state load must be RMR-free: {tally:?}");
+                        assert!(tally.ops > 0, "the passage does execute shared ops");
+                    }
+                })
+            })
+            .collect();
+        for t in threads {
+            t.join().unwrap();
+        }
+        assert!(snap.is_quiescent());
+    }
+
     #[test]
     fn steady_state_load_performs_zero_cc_rmrs() {
-        // The acceptance-proof logic in unit form (swap_table's
-        // steady_state section is the shipped binary version): over the
-        // Counting backend, a warm load passage must cost zero
-        // cache-coherence RMRs — the epoch stamp hits the reader's own
-        // padded slot, everything else is a cached read.
-        let snap: Snapshot<u64, MwmrStarvationFree<_, Counting>, RetireEager, Counting> =
-            Snapshot::with_raw_in(
-                99,
-                MwmrStarvationFree::new_in(2, Counting),
-                RetireEager,
-                2,
-                Counting,
-            );
-        let pid = snap.registry().allocate().unwrap();
-        mem::set_thread_slot(1);
-        // Warm-up passage: first touches are compulsory misses.
-        drop(snap.load_with(pid));
-        mem::reset_thread_tally();
-        for _ in 0..10 {
-            let g = snap.load_with(pid);
-            assert_eq!(*g, 99);
-            drop(g);
+        for readers in [1, 4] {
+            assert_steady_state_loads_are_rmr_free(RetireEager, readers, 500);
+            assert_steady_state_loads_are_rmr_free(RetireBatched { high_water: 8 }, readers, 500);
         }
-        let tally = mem::thread_tally();
-        assert_eq!(tally.cc, 0, "steady-state load must be RMR-free, tally: {tally:?}");
-        assert!(tally.ops > 0, "the passage does execute shared ops");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! *"Constant RMR Solutions to Reader Writer Synchronization"*
 //! (Dartmouth TR2010-662 / PODC 2010).
 //!
-//! Re-exports the four library crates under stable names:
+//! Re-exports the eight library crates under stable names:
 //!
 //! | Module | Crate | Contents |
 //! |---|---|---|
@@ -15,10 +15,12 @@
 //! | [`baselines`] | `rmr-baselines` | the prior-art lock classes the paper improves on |
 //! | [`sim`] | `rmr-sim` | the abstract machine: model checking, RMR cost models, invariants |
 //!
-//! A fifth crate, `rmr-check` (deterministic schedule exploration of the
-//! shipped locks — PCT, bounded DFS, the mutation battery), is a
-//! dev-dependency only: it ships deliberately broken mutant locks for its
-//! battery, which must never reach this production facade.
+//! Two workspace crates stay out of the facade. `rmr-check`
+//! (deterministic schedule exploration of the shipped locks — PCT,
+//! bounded DFS, the mutation battery) is a dev-dependency only: it ships
+//! deliberately broken mutant locks for its battery, which must never
+//! reach this production facade. `rmr-bench` holds the paper's experiment
+//! binaries.
 //!
 //! Most applications only need [`core`]. The lock is used exactly like
 //! `std::sync::RwLock` — pids are leased per thread behind the scenes:

@@ -57,7 +57,7 @@
 //! observe identical values run after run; all state values are likewise
 //! small constants.
 
-use rmr_mutex::mem::{Backend, Ordering as MemOrdering, SharedWord};
+use rmr_mutex::mem::{Backend, Ordering as MemOrdering, SharedWord, Site};
 use rmr_mutex::{spin_until, CachePadded};
 use std::cell::UnsafeCell;
 use std::fmt;
@@ -513,9 +513,11 @@ impl<B: Backend> WakerTable<B> {
     /// and last-reader exit paths). Returns the number of wake-ups
     /// delivered.
     pub fn wake_all(&self) -> usize {
-        // Site AS-COUNT: SeqCst skip checks, as in `wake_writers`.
-        if self.parked_readers.load(MemOrdering::SeqCst) == 0
-            && self.parked_writers.load(MemOrdering::SeqCst) == 0
+        // Site AS-WAKE-ALL: SeqCst skip checks, the AS-COUNT square as in
+        // `wake_writers`, tagged apart because both release paths' full
+        // wake-ups key off them (the `DropWakeup` fault reads them as 0).
+        if self.parked_readers.load_at(Site::AS_WAKE_ALL, MemOrdering::SeqCst) == 0
+            && self.parked_writers.load_at(Site::AS_WAKE_ALL, MemOrdering::SeqCst) == 0
         {
             return 0;
         }

@@ -3,7 +3,7 @@
 
 use rmr_core::raw::{RawRwLock, RawTryReadLock, RawTryRwLock};
 use rmr_core::registry::Pid;
-use rmr_mutex::mem::{Backend, Native, Ordering, SharedBool};
+use rmr_mutex::mem::{Backend, Native, Ordering, SharedBool, Site};
 use rmr_mutex::CachePadded;
 use rmr_mutex::{spin_until, RawMutex, TtasLock};
 use std::fmt;
@@ -70,6 +70,13 @@ impl<B: Backend> DistributedFlagRwLock<B> {
     pub fn readers_visible(&self) -> usize {
         self.reader_flags.iter().filter(|f| f.load(Ordering::Relaxed)).count()
     }
+
+    /// Checker entry point: every reader flag is down and no writer is
+    /// present. Only meaningful while no passage is in flight.
+    pub fn is_quiescent(&self) -> bool {
+        // Relaxed: at-rest reads, like `readers_visible`.
+        self.readers_visible() == 0 && !self.writer_present.load(Ordering::Relaxed)
+    }
 }
 
 impl<B: Backend> RawRwLock for DistributedFlagRwLock<B> {
@@ -83,9 +90,10 @@ impl<B: Backend> RawRwLock for DistributedFlagRwLock<B> {
             // then reads writer_present; the writer raises writer_present and
             // then scans the flags. SC of these four accesses is the whole
             // mutual-exclusion argument ("one of us observes the other"), so
-            // both store/load pairs are SeqCst. Demoting this raise is the
-            // `WrongOrdering::DemoteFlagRaise` mutant (DESIGN.md §13).
-            flag.store(true, Ordering::SeqCst);
+            // both store/load pairs are SeqCst. This raise is tagged apart
+            // (site BL-FLAGS-RAISE): demoting it to Release is the
+            // `DemoteFlagRaise` fault (DESIGN.md §13).
+            flag.store_at(Site::BL_FLAGS_RAISE, true, Ordering::SeqCst);
             if !self.writer_present.load(Ordering::SeqCst) {
                 // Flag-then-check: the writer's check-then-scan order
                 // guarantees one of us observes the other.
@@ -140,8 +148,9 @@ impl<B: Backend> RawTryReadLock for DistributedFlagRwLock<B> {
     fn try_read_lock(&self, pid: Pid) -> Option<()> {
         let flag = &self.reader_flags[pid.index()];
         // One round of the blocking loop, with "park" replaced by "abort":
-        // flag-then-check keeps the same visibility argument (site BL-FLAGS).
-        flag.store(true, Ordering::SeqCst);
+        // flag-then-check keeps the same visibility argument (sites BL-FLAGS
+        // and BL-FLAGS-RAISE).
+        flag.store_at(Site::BL_FLAGS_RAISE, true, Ordering::SeqCst);
         if !self.writer_present.load(Ordering::SeqCst) {
             Some(())
         } else {

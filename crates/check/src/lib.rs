@@ -38,10 +38,12 @@
 //! explored per shared-memory operation and a lost wake-up is a
 //! replayable deadlock report, not a hung test.
 //!
-//! The deliberately broken locks in [`mutants`] prove the checker has
-//! teeth: each seeded bug (dropped gate store, wrong CAS expected value,
-//! skipped side flip, dropped wake-up, …) must be caught within a
-//! bounded schedule budget.
+//! The mutation battery proves the checker has teeth: each seeded bug
+//! (dropped gate store, lying acquire swap, skipped side flip, dropped
+//! wake-up, demoted ordering, …) must be caught within a bounded
+//! schedule budget. Most are [`Fault`](rmr_mutex::sched::Fault)s armed at
+//! typed sites of the shipped locks; [`mutants`] holds the two that are
+//! not single-site faults.
 //!
 //! # Example
 //!

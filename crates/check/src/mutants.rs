@@ -1,95 +1,48 @@
-//! Deliberately broken lock variants — the checker's teeth.
+//! The two hand-written mutant locks of the mutation battery.
 //!
 //! A checker that has never caught a bug is indistinguishable from one
-//! that cannot. Following `rmr-sim/tests/mutants.rs` (which seeds
-//! transcription errors into the line-level models), this module seeds
-//! real-code bugs into faithful copies of the shipped implementations:
-//! each [`Mutation`] is a one-line change of the kind a refactor could
-//! plausibly introduce, and the test battery asserts that every one is
-//! caught within a bounded schedule budget while the unmutated copies
-//! pass the same budgets.
+//! that cannot. The battery (`tests/mutants.rs`, experiment E14) seeds
+//! bugs of the kind a refactor could plausibly introduce and asserts
+//! that each is caught within a bounded schedule budget while the
+//! unmutated code passes the same budgets.
 //!
-//! The copies live here, not in the production crates — shipping broken
-//! locks behind a flag would be a footgun — and are kept line-for-line
-//! parallel to their originals (`swmr/writer_priority.rs`, `tas.rs`,
-//! `anderson.rs`, `rmr-baselines/src/flags.rs`, `rmr-bravo/src/lib.rs`,
-//! `rmr-swap/src/lib.rs`) so a diff against the real code shows exactly
-//! the seeded bug and nothing else. That includes per-access memory
-//! orderings: every copy carries its original's orderings verbatim, so
-//! the *ordering itself* can be a mutation point.
+//! Most of those bugs are seeded into the **shipped** locks, not into
+//! copies: the accesses they break carry a typed fault site
+//! ([`rmr_mutex::mem::Site`]), and the battery arms a
+//! [`rmr_mutex::sched::Fault`] at that site — a dropped store, a demoted
+//! ordering, or a lying load — for the runs it explores. The code under
+//! test is then exactly the code that ships, so a mutant cannot drift
+//! from what it claims to test.
 //!
-//! The `Demote*` mutations are exactly that: each weakens one store the
-//! per-site policy (DESIGN.md §13) proves must be SeqCst, from SeqCst to
-//! Release. Under [`rmr_mutex::sched::MemoryModel::SeqCst`] the demotion is
-//! invisible — the control batteries pass either way — but under
-//! [`rmr_mutex::sched::MemoryModel::StoreBuffer`] the demoted store parks in the
-//! mutating task's store buffer past the store→load (Dekker) edge it was
-//! guarding, and the battery catches the violation. They are the
-//! evidence that the weak mode actually distinguishes the orderings the
-//! relaxation sweep left strong.
+//! Two bugs are not single-site faults and stay hand-written here, each
+//! next to the production code it wraps or models:
+//!
+//! * [`MutantTokenlessTicket`] — the bug is a lying `QUEUED` constant on
+//!   a doorway that never draws its ticket, a property of a trait impl
+//!   rather than of one shared-memory access.
+//! * [`MutantSwap`] — on the real `rmr_swap::Snapshot`, a premature
+//!   retire or a demoted epoch publish would free a payload a reader
+//!   still dereferences: real use-after-free, not an oracle panic. The
+//!   model swaps the heap for an arena with a freed flag, so the same
+//!   bugs surface as a deterministic, replayable oracle failure.
 
-use rmr_core::packed::{Packed, PackedFaa};
 use rmr_core::raw::{RawParkedWaiters, RawRwLock, RawTryReadLock, RawTryRwLock};
 use rmr_core::registry::Pid;
-use rmr_core::{AtomicSide, Side};
 use rmr_mutex::mem::{Backend, Ordering, SharedBool, SharedWord};
-use rmr_mutex::{spin_until, RawMutex, Sched, TtasLock};
+use rmr_mutex::{spin_until, Sched};
 use std::fmt;
 
-/// Which seeded bug a mutant lock carries. `None` is the control: the
-/// faithful copy, which must pass every battery the mutants fail.
+/// Which seeded bug a hand-written mutant carries. `None` is the control:
+/// the faithful variant, which must pass every battery the mutants fail.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mutation {
-    /// Faithful copy — no bug.
+    /// Faithful variant — no bug.
     None,
-    /// Figure 1 writer skips line 8 (`Gate[prevD] ← false`): the previous
-    /// side's gate stays open, so from the writer's second attempt on,
-    /// readers bind to an open gate while the writer owns the CS.
-    SkipGateClose,
-    /// Figure 1 writer skips line 3 (`D ← currD`, the [`AtomicSide`]
-    /// flip): readers keep registering on the stale side the writer is
-    /// draining.
-    SkipSideFlip,
-    /// Figure 1 reader skips line 28 (`Permit[d] ← true`): the last
-    /// reader out never wakes a writer parked on `C[d]` — deadlock.
-    SkipReaderPermit,
-    /// TTAS lock CASes with the *observed* value as the expected value
-    /// (`CAS(flag, flag_read, true)` instead of `CAS(flag, false,
-    /// true)`): when the flag is already `true` the CAS succeeds and a
-    /// second holder walks in.
-    WrongCasExpected,
-    /// Anderson unlock skips closing its own slot: both slots end up
-    /// open and two later tickets enter together.
-    SkipSlotClose,
-    /// Bravo writer flips the bias word off but skips the visible-readers
-    /// slot scan: a published fast reader is still inside its read session
-    /// when the writer enters the critical section.
-    SkipRevocationScan,
-    /// Async write-release skips the wake-up scan: futures parked behind
-    /// the writer (their retry-after-register found it still holding) are
-    /// never re-polled — the parking tier's characteristic lost-wakeup
-    /// bug, surfacing as a deterministic deadlock report.
-    DropWakeup,
     /// Epoch-swap writer's grace-period scan skips slot 0: a payload is
     /// freed while the reader in that slot still pins it with a published
     /// epoch — the snapshot tier's characteristic use-after-free, caught
     /// by the freed-flag oracle instead of actual UB.
     PrematureRetire,
-    /// Flags-baseline reader demotes its flag raise (site BL-FLAGS) from
-    /// SeqCst to Release. The raise parks in the reader's store buffer:
-    /// the reader checks `writer_present`, sees false, and enters while a
-    /// writer that raised `writer_present` scans flags that all read
-    /// false — both sides of the Dekker square miss each other and both
-    /// enter. Invisible under SC; caught under `MemoryModel::StoreBuffer`.
-    DemoteFlagRaise,
-    /// Bravo writer demotes the bias clear (site BR-CLEAR) from SeqCst to
-    /// Release. The clear parks in the writer's store buffer while the
-    /// revocation scan runs against it; a fast reader that published its
-    /// slot *after* the scan passed it re-checks the bias, still observes
-    /// the stale `true`, and keeps its fast read session while the writer
-    /// is in the critical section. Invisible under SC; caught under
-    /// `MemoryModel::StoreBuffer`.
-    DemoteBiasClear,
     /// Epoch-swap reader demotes the epoch publish (site SW-PUB) from
     /// SeqCst to Release. The publish parks in the reader's store buffer
     /// past the payload load it must precede: a concurrent writer's
@@ -107,594 +60,6 @@ pub enum Mutation {
 }
 
 // ---------------------------------------------------------------------
-// Figure 1 copy (SwmrWriterPriority) with seeded writer/reader bugs
-// ---------------------------------------------------------------------
-
-/// Proof of a held mutant read lock.
-#[derive(Debug)]
-pub struct MutantReadToken {
-    d: Side,
-}
-
-/// Proof of a held mutant write lock.
-#[derive(Debug)]
-pub struct MutantWriteToken {
-    curr: Side,
-}
-
-/// A line-for-line copy of [`rmr_core::swmr::SwmrWriterPriority`]
-/// carrying one of the Figure 1 [`Mutation`]s ([`Mutation::None`] for the
-/// control copy). Always instantiated over [`Sched`] by the battery.
-pub struct MutantFig1<B: Backend = Sched> {
-    mutation: Mutation,
-    d: AtomicSide<B>,
-    gates: [B::Bool; 2],
-    permits: [B::Bool; 2],
-    counts: [PackedFaa<B>; 2],
-    exit_count: PackedFaa<B>,
-    exit_permit: B::Bool,
-}
-
-impl<B: Backend> MutantFig1<B> {
-    /// Creates the lock in the paper's initial configuration, carrying
-    /// `mutation`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mutation` is not a Figure 1 mutation.
-    pub fn new_in(mutation: Mutation, _backend: B) -> Self {
-        assert!(
-            matches!(
-                mutation,
-                Mutation::None
-                    | Mutation::SkipGateClose
-                    | Mutation::SkipSideFlip
-                    | Mutation::SkipReaderPermit
-            ),
-            "{mutation:?} is not a Figure 1 mutation"
-        );
-        Self {
-            mutation,
-            d: AtomicSide::new_in(Side::Zero, B::default()),
-            gates: [B::Bool::new(true), B::Bool::new(false)],
-            permits: [B::Bool::new(false), B::Bool::new(false)],
-            counts: [PackedFaa::new_in(B::default()), PackedFaa::new_in(B::default())],
-            exit_count: PackedFaa::new_in(B::default()),
-            exit_permit: B::Bool::new(false),
-        }
-    }
-
-    fn writer_enter(&self) -> MutantWriteToken {
-        let prev = self.d.load(Ordering::Relaxed); // line 2
-        let curr = !prev;
-        if self.mutation != Mutation::SkipSideFlip {
-            self.d.store(curr, Ordering::Relaxed); // line 3 — MUTATION POINT
-        }
-        let p = prev.index();
-        self.permits[p].store(false, Ordering::Relaxed); // line 4
-        let old = self.counts[p].add_writer(Ordering::SeqCst); // line 5
-        if old != Packed::ZERO {
-            spin_until(|| self.permits[p].load(Ordering::Acquire)); // line 6
-        }
-        self.counts[p].sub_writer(Ordering::SeqCst); // line 7
-        if self.mutation != Mutation::SkipGateClose {
-            self.gates[p].store(false, Ordering::Release); // line 8 — MUTATION POINT
-        }
-        self.exit_permit.store(false, Ordering::Relaxed); // line 9
-        let old = self.exit_count.add_writer(Ordering::SeqCst); // line 10
-        if old != Packed::ZERO {
-            spin_until(|| self.exit_permit.load(Ordering::Acquire)); // line 11
-        }
-        self.exit_count.sub_writer(Ordering::SeqCst); // line 12
-        MutantWriteToken { curr } // line 13: CS
-    }
-
-    fn writer_exit(&self, token: MutantWriteToken) {
-        self.gates[token.curr.index()].store(true, Ordering::Release); // line 14
-    }
-
-    fn reader_doorway(&self) -> Side {
-        let mut d = self.d.load(Ordering::Relaxed); // line 16
-        self.counts[d.index()].add_reader(Ordering::SeqCst); // line 17
-        let d2 = self.d.load(Ordering::Relaxed); // line 18
-        if d != d2 {
-            // line 19
-            self.counts[d2.index()].add_reader(Ordering::SeqCst); // line 20
-            d = self.d.load(Ordering::Relaxed); // line 21
-            let other = !d;
-            let old = self.counts[other.index()].sub_reader(Ordering::SeqCst); // line 22
-            if old == Packed::ONE_ONE {
-                self.permits[other.index()].store(true, Ordering::Release); // line 23
-            }
-        }
-        d
-    }
-
-    fn reader_enter(&self) -> MutantReadToken {
-        let d = self.reader_doorway();
-        spin_until(|| self.gates[d.index()].load(Ordering::Acquire)); // line 24
-        MutantReadToken { d } // line 25: CS
-    }
-
-    fn reader_exit(&self, token: MutantReadToken) {
-        let d = token.d.index();
-        self.exit_count.add_reader(Ordering::SeqCst); // line 26
-        let old = self.counts[d].sub_reader(Ordering::SeqCst); // line 27
-        if old == Packed::ONE_ONE && self.mutation != Mutation::SkipReaderPermit {
-            self.permits[d].store(true, Ordering::Release); // line 28 — MUTATION POINT
-        }
-        let old = self.exit_count.sub_reader(Ordering::SeqCst); // line 29
-        if old == Packed::ONE_ONE {
-            self.exit_permit.store(true, Ordering::Release); // line 30
-        }
-    }
-
-    /// Mirror of the real lock's quiescence entry point (the control copy
-    /// must satisfy it after clean runs).
-    pub fn is_quiescent(&self) -> bool {
-        let d = self.d.load(Ordering::Relaxed);
-        self.counts[0].load(Ordering::Relaxed) == Packed::ZERO
-            && self.counts[1].load(Ordering::Relaxed) == Packed::ZERO
-            && self.exit_count.load(Ordering::Relaxed) == Packed::ZERO
-            && self.gates[d.index()].load(Ordering::Relaxed)
-            && !self.gates[(!d).index()].load(Ordering::Relaxed)
-    }
-}
-
-impl<B: Backend> fmt::Debug for MutantFig1<B> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("MutantFig1").field("mutation", &self.mutation).finish()
-    }
-}
-
-impl<B: Backend> RawRwLock for MutantFig1<B> {
-    type ReadToken = MutantReadToken;
-    type WriteToken = MutantWriteToken;
-
-    fn read_lock(&self, _pid: Pid) -> MutantReadToken {
-        self.reader_enter()
-    }
-
-    fn read_unlock(&self, _pid: Pid, token: MutantReadToken) {
-        self.reader_exit(token);
-    }
-
-    fn write_lock(&self, _pid: Pid) -> MutantWriteToken {
-        self.writer_enter()
-    }
-
-    fn write_unlock(&self, _pid: Pid, token: MutantWriteToken) {
-        self.writer_exit(token);
-    }
-
-    fn max_processes(&self) -> usize {
-        usize::MAX
-    }
-}
-
-impl<B: Backend> RawTryReadLock for MutantFig1<B> {
-    fn try_read_lock(&self, _pid: Pid) -> Option<MutantReadToken> {
-        let d = self.reader_doorway();
-        if self.gates[d.index()].load(Ordering::Acquire) {
-            Some(MutantReadToken { d })
-        } else {
-            self.reader_exit(MutantReadToken { d });
-            None
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// TTAS copy with the wrong-CAS-expected bug
-// ---------------------------------------------------------------------
-
-/// A copy of [`rmr_mutex::TtasLock`] where [`Mutation::WrongCasExpected`]
-/// replaces the acquire CAS's expected value with the value just read.
-pub struct MutantTtas<B: Backend = Sched> {
-    mutation: Mutation,
-    flag: B::Bool,
-}
-
-impl<B: Backend> MutantTtas<B> {
-    /// Creates an unlocked mutant.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mutation` is not `None`/`WrongCasExpected`.
-    pub fn new_in(mutation: Mutation, _backend: B) -> Self {
-        assert!(
-            matches!(mutation, Mutation::None | Mutation::WrongCasExpected),
-            "{mutation:?} is not a TTAS mutation"
-        );
-        Self { mutation, flag: B::Bool::new(false) }
-    }
-}
-
-impl<B: Backend> fmt::Debug for MutantTtas<B> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("MutantTtas").field("mutation", &self.mutation).finish()
-    }
-}
-
-impl<B: Backend> RawMutex for MutantTtas<B> {
-    type Token = ();
-
-    fn lock(&self) {
-        loop {
-            let seen = self.flag.load(Ordering::Relaxed); // test
-            if self.mutation == Mutation::WrongCasExpected {
-                // MUTATION: expected = the value just read. When `seen`
-                // is already true this succeeds vacuously and admits a
-                // second holder.
-                if self
-                    .flag
-                    .compare_exchange(seen, true, Ordering::Acquire, Ordering::Relaxed)
-                    .is_ok()
-                {
-                    return;
-                }
-            } else if !seen
-                && self
-                    .flag
-                    .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
-                    .is_ok()
-            {
-                return; // test&set
-            }
-        }
-    }
-
-    fn unlock(&self, _token: ()) {
-        self.flag.store(false, Ordering::Release);
-    }
-}
-
-// ---------------------------------------------------------------------
-// Anderson copy with the open-slot bug
-// ---------------------------------------------------------------------
-
-/// A copy of [`rmr_mutex::AndersonLock`] where [`Mutation::SkipSlotClose`]
-/// drops the unlock's "close my own slot" store.
-pub struct MutantAnderson<B: Backend = Sched> {
-    mutation: Mutation,
-    slots: Box<[B::Bool]>,
-    next_ticket: B::Word,
-    mask: u64,
-}
-
-impl<B: Backend> MutantAnderson<B> {
-    /// Creates the mutant with `capacity` slots (rounded up to a power of
-    /// two, minimum 2).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mutation` is not `None`/`SkipSlotClose` or `capacity`
-    /// is 0.
-    pub fn new_in(mutation: Mutation, capacity: usize, _backend: B) -> Self {
-        assert!(
-            matches!(mutation, Mutation::None | Mutation::SkipSlotClose),
-            "{mutation:?} is not an Anderson mutation"
-        );
-        assert!(capacity > 0, "capacity must be positive");
-        let capacity = capacity.next_power_of_two().max(2);
-        Self {
-            mutation,
-            slots: (0..capacity).map(|i| B::Bool::new(i == 0)).collect(),
-            next_ticket: B::Word::new(0),
-            mask: capacity as u64 - 1,
-        }
-    }
-
-    fn slot(&self, ticket: u64) -> &B::Bool {
-        &self.slots[(ticket & self.mask) as usize]
-    }
-}
-
-impl<B: Backend> fmt::Debug for MutantAnderson<B> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("MutantAnderson").field("mutation", &self.mutation).finish()
-    }
-}
-
-impl<B: Backend> RawMutex for MutantAnderson<B> {
-    type Token = u64;
-
-    fn lock(&self) -> u64 {
-        let ticket = self.next_ticket.fetch_add(1, Ordering::Relaxed);
-        spin_until(|| self.slot(ticket).load(Ordering::Acquire));
-        ticket
-    }
-
-    fn unlock(&self, ticket: u64) {
-        if self.mutation != Mutation::SkipSlotClose {
-            self.slot(ticket).store(false, Ordering::Relaxed); // MUTATION POINT
-        }
-        self.slot(ticket.wrapping_add(1)).store(true, Ordering::Release);
-    }
-
-    fn capacity(&self) -> Option<usize> {
-        Some(self.mask as usize + 1)
-    }
-}
-
-// ---------------------------------------------------------------------
-// Bravo wrapper copy with the skipped revocation scan
-// ---------------------------------------------------------------------
-
-/// Proof of a held mutant Bravo read session (mirror of
-/// `rmr_bravo::BravoReadToken` over the ticket inner lock).
-#[derive(Debug)]
-pub enum MutantBravoReadToken {
-    /// Fast path: a published visible-readers slot.
-    Fast {
-        /// The published slot index.
-        slot: usize,
-    },
-    /// Slow path: the inner ticket lock's (unit) token.
-    Slow,
-}
-
-/// A line-for-line copy of `rmr_bravo::Bravo` over a
-/// [`rmr_baselines::TicketRwLock`] inner lock, carrying
-/// [`Mutation::SkipRevocationScan`] or [`Mutation::DemoteBiasClear`] (or
-/// [`Mutation::None`] for the control copy). Always instantiated over
-/// [`Sched`] by the battery.
-pub struct MutantBravo<B: Backend = Sched> {
-    mutation: Mutation,
-    inner: rmr_baselines::TicketRwLock<B>,
-    rbias: B::Bool,
-    slow_reads: B::Word,
-    slots: Box<[B::Word]>,
-    rebias_after: u64,
-}
-
-impl<B: Backend> MutantBravo<B> {
-    /// Creates the mutant around a fresh ticket lock: `table_slots`
-    /// visible-readers slots (rounded up to a power of two), re-bias
-    /// after `rebias_after` slow reads, initially biased.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mutation` is not `None`/`SkipRevocationScan`/
-    /// `DemoteBiasClear`.
-    pub fn new_in(mutation: Mutation, table_slots: usize, rebias_after: u32, _backend: B) -> Self {
-        assert!(
-            matches!(
-                mutation,
-                Mutation::None | Mutation::SkipRevocationScan | Mutation::DemoteBiasClear
-            ),
-            "{mutation:?} is not a Bravo mutation"
-        );
-        let slots = table_slots.max(1).next_power_of_two();
-        Self {
-            mutation,
-            inner: rmr_baselines::TicketRwLock::new_in(usize::MAX, B::default()),
-            rbias: B::Bool::new(true),
-            slow_reads: B::Word::new(0),
-            slots: (0..slots).map(|_| B::Word::new(0)).collect(),
-            rebias_after: u64::from(rebias_after),
-        }
-    }
-
-    fn slot_index(&self, pid: Pid) -> usize {
-        ((pid.index() as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 33) as usize
-            & (self.slots.len() - 1)
-    }
-
-    fn try_fast_read(&self, pid: Pid) -> Option<usize> {
-        if !self.rbias.load(Ordering::Relaxed) {
-            return None;
-        }
-        let slot = self.slot_index(pid);
-        if self.slots[slot]
-            .compare_exchange(0, pid.index() as u64 + 1, Ordering::SeqCst, Ordering::Relaxed)
-            .is_err()
-        {
-            return None;
-        }
-        if self.rbias.load(Ordering::SeqCst) {
-            return Some(slot);
-        }
-        self.slots[slot].store(0, Ordering::Relaxed);
-        None
-    }
-
-    fn note_slow_read(&self) {
-        if self.rebias_after == 0 {
-            return;
-        }
-        let n = self.slow_reads.fetch_add(1, Ordering::Relaxed) + 1;
-        if n.is_multiple_of(self.rebias_after) {
-            self.rbias.store(true, Ordering::Relaxed);
-        }
-    }
-
-    fn revoke(&self) {
-        if !self.rbias.load(Ordering::Relaxed) {
-            return;
-        }
-        // Site BR-CLEAR: the original is SeqCst so the clear cannot pass
-        // the slot scan below (the fast readers' publish/re-check is the
-        // other half of the square).
-        let order = if self.mutation == Mutation::DemoteBiasClear {
-            Ordering::Release // MUTATION POINT: the clear parks in the buffer
-        } else {
-            Ordering::SeqCst
-        };
-        self.rbias.store(false, order);
-        if self.mutation != Mutation::SkipRevocationScan {
-            for slot in self.slots.iter() {
-                // MUTATION POINT: the mutant enters without this wait.
-                spin_until(|| slot.load(Ordering::SeqCst) == 0);
-            }
-        }
-    }
-
-    /// Mirror of the real wrapper's quiescence entry point.
-    pub fn is_quiescent(&self) -> bool {
-        self.slots.iter().all(|s| s.load(Ordering::Relaxed) == 0)
-    }
-}
-
-impl<B: Backend> fmt::Debug for MutantBravo<B> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("MutantBravo").field("mutation", &self.mutation).finish()
-    }
-}
-
-impl<B: Backend> RawRwLock for MutantBravo<B> {
-    type ReadToken = MutantBravoReadToken;
-    type WriteToken = ();
-
-    fn read_lock(&self, pid: Pid) -> MutantBravoReadToken {
-        if let Some(slot) = self.try_fast_read(pid) {
-            return MutantBravoReadToken::Fast { slot };
-        }
-        let () = self.inner.read_lock(pid);
-        self.note_slow_read();
-        MutantBravoReadToken::Slow
-    }
-
-    fn read_unlock(&self, pid: Pid, token: MutantBravoReadToken) {
-        match token {
-            MutantBravoReadToken::Fast { slot } => self.slots[slot].store(0, Ordering::Release),
-            MutantBravoReadToken::Slow => self.inner.read_unlock(pid, ()),
-        }
-    }
-
-    fn write_lock(&self, pid: Pid) {
-        let () = self.inner.write_lock(pid);
-        self.revoke();
-    }
-
-    fn write_unlock(&self, pid: Pid, (): ()) {
-        self.inner.write_unlock(pid, ());
-    }
-
-    fn max_processes(&self) -> usize {
-        usize::MAX
-    }
-}
-
-// ---------------------------------------------------------------------
-// Async parking-protocol copy with the dropped write-release wake-up
-// ---------------------------------------------------------------------
-
-/// A line-for-line copy of `rmr-async`'s acquisition/release protocol
-/// (the `AsyncRead`/`AsyncWrite` poll bodies and the guard drops) over a
-/// [`rmr_baselines::TicketRwLock`] inner lock, carrying
-/// [`Mutation::DropWakeup`] (or [`Mutation::None`] for the control).
-/// The waker table is the *production* `rmr_async::WakerTable` — the
-/// seeded bug lives in the release path that is supposed to drive it.
-/// Acquire/release are explicit (no RAII guards) so the mutation point is
-/// a plain skipped call. Always instantiated over [`Sched`] by the
-/// battery.
-pub struct MutantAsyncRw<B: Backend = Sched> {
-    mutation: Mutation,
-    inner: rmr_baselines::TicketRwLock<B>,
-    table: rmr_async::park::WakerTable<B>,
-    readers: B::Word,
-}
-
-impl<B: Backend> MutantAsyncRw<B> {
-    /// Creates the mutant with `capacity` waker slots (task pids must be
-    /// in `0..capacity`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mutation` is not `None`/`DropWakeup`.
-    pub fn new_in(mutation: Mutation, capacity: usize, _backend: B) -> Self {
-        assert!(
-            matches!(mutation, Mutation::None | Mutation::DropWakeup),
-            "{mutation:?} is not an async mutation"
-        );
-        Self {
-            mutation,
-            inner: rmr_baselines::TicketRwLock::new_in(capacity, B::default()),
-            table: rmr_async::park::WakerTable::new(capacity),
-            readers: B::Word::new(0),
-        }
-    }
-
-    /// The async read acquisition: bounded attempt, park, retry — the
-    /// same poll body as `rmr_async::lock::AsyncRead`.
-    pub fn read_acquire(&self, pid: Pid) -> impl std::future::Future<Output = ()> + '_ {
-        use rmr_async::park::WaitKind;
-        std::future::poll_fn(move |cx| {
-            if self.inner.try_read_lock(pid).is_some() {
-                self.finish_read(pid);
-                return std::task::Poll::Ready(());
-            }
-            self.table.register(pid.index(), WaitKind::Reader, cx.waker());
-            if self.inner.try_read_lock(pid).is_some() {
-                self.finish_read(pid);
-                return std::task::Poll::Ready(());
-            }
-            std::task::Poll::Pending
-        })
-    }
-
-    /// Mirror of `AsyncRwLock::finish_read`: count the session and
-    /// re-poll readers parked behind this entry's transient window.
-    fn finish_read(&self, pid: Pid) {
-        self.table.deregister(pid.index());
-        // Site AS-COUNT's counterpart: the 1 → 0 edge of this counter gates
-        // the read-release wake_all scan, so it is SeqCst like the original.
-        self.readers.fetch_add(1, Ordering::SeqCst);
-        if self.table.parked_readers() > 0 {
-            self.table.wake_readers();
-        }
-    }
-
-    /// Read release: the last reader out wakes everything parked.
-    pub fn read_release(&self, pid: Pid) {
-        self.inner.read_unlock(pid, ());
-        if self.readers.fetch_sub(1, Ordering::SeqCst) == 1 {
-            self.table.wake_all();
-        }
-    }
-
-    /// The async write acquisition (same protocol, writer wait kind).
-    pub fn write_acquire(&self, pid: Pid) -> impl std::future::Future<Output = ()> + '_ {
-        use rmr_async::park::WaitKind;
-        use rmr_core::raw::RawTryRwLock;
-        std::future::poll_fn(move |cx| {
-            if self.inner.try_write_lock(pid).is_some() {
-                self.table.deregister(pid.index());
-                return std::task::Poll::Ready(());
-            }
-            self.table.register(pid.index(), WaitKind::Writer, cx.waker());
-            if self.inner.try_write_lock(pid).is_some() {
-                self.table.deregister(pid.index());
-                return std::task::Poll::Ready(());
-            }
-            std::task::Poll::Pending
-        })
-    }
-
-    /// Write release: must wake everything parked behind the writer.
-    pub fn write_release(&self, pid: Pid) {
-        self.inner.write_unlock(pid, ());
-        if self.mutation != Mutation::DropWakeup {
-            self.table.wake_all(); // MUTATION POINT: the mutant never wakes
-        }
-    }
-
-    /// Mirror of the real wrapper's quiescence entry point.
-    pub fn is_quiescent(&self) -> bool {
-        self.table.parked_readers() == 0
-            && self.table.parked_writers() == 0
-            && self.readers.load(Ordering::Relaxed) == 0
-    }
-}
-
-impl<B: Backend> fmt::Debug for MutantAsyncRw<B> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("MutantAsyncRw").field("mutation", &self.mutation).finish()
-    }
-}
-
-// ---------------------------------------------------------------------
 // Doorway wrapper with the dropped waiter token
 // ---------------------------------------------------------------------
 
@@ -709,6 +74,10 @@ impl<B: Backend> fmt::Debug for MutantAsyncRw<B> {
 /// contract breach `rmr_check::async_exec::async_fair_trial`'s
 /// bounded-bypass oracle polices. [`Mutation::None`] is the faithful
 /// forwarder and must pass the identical battery.
+///
+/// Hand-written rather than a fault on the shipped ticket lock: the bug
+/// is the lying `QUEUED` constant of a `RawParkedWaiters` impl, not any
+/// one shared-memory access a site fault could break.
 pub struct MutantTokenlessTicket<B: Backend = Sched> {
     mutation: Mutation,
     inner: rmr_baselines::TicketRwLock<B>,
@@ -814,7 +183,7 @@ impl<B: Backend> fmt::Debug for MutantTokenlessTicket<B> {
 }
 
 // ---------------------------------------------------------------------
-// Epoch-swap snapshot copy with the skipped grace-scan slot
+// Epoch-swap snapshot model with the skipped grace-scan slot
 // ---------------------------------------------------------------------
 
 /// A model of `rmr-swap`'s epoch-swap protocol over a bounded arena,
@@ -831,6 +200,11 @@ impl<B: Backend> fmt::Debug for MutantTokenlessTicket<B> {
 /// one writer task models the serialized install stream and the mutation
 /// point — the grace scan — is exercised without dragging a lock copy in.
 /// Always instantiated over [`Sched`] by the battery.
+///
+/// A model rather than a fault on the shipped `rmr_swap::Snapshot`: there
+/// a skipped grace slot or a demoted epoch publish would free a payload
+/// a reader still dereferences — real use-after-free, which the checker
+/// cannot observe deterministically — not an oracle panic.
 pub struct MutantSwap<B: Backend = Sched> {
     mutation: Mutation,
     /// The global epoch `G` (starts at 1; 0 is the empty-slot sentinel).
@@ -947,161 +321,19 @@ impl<B: Backend> fmt::Debug for MutantSwap<B> {
     }
 }
 
-// ---------------------------------------------------------------------
-// Distributed-flags baseline copy with the demoted flag raise
-// ---------------------------------------------------------------------
-
-/// A line-for-line copy of [`rmr_baselines::DistributedFlagRwLock`]
-/// carrying [`Mutation::DemoteFlagRaise`] (or [`Mutation::None`] for the
-/// control copy). The lock's exclusion rests on a textbook Dekker square
-/// (site BL-FLAGS): reader raises its flag then reads `writer_present`;
-/// writer raises `writer_present` then scans the flags. The mutation
-/// weakens the reader's raise from SeqCst to Release — a change with no
-/// observable effect under sequential consistency, which is exactly why
-/// the battery must run it under [`rmr_mutex::sched::MemoryModel::StoreBuffer`]
-/// to catch it. Always instantiated over [`Sched`] by the battery.
-pub struct MutantFlags<B: Backend = Sched> {
-    mutation: Mutation,
-    reader_flags: Box<[B::Bool]>,
-    writer_mutex: TtasLock<B>,
-    writer_present: B::Bool,
-}
-
-impl<B: Backend> MutantFlags<B> {
-    /// Creates the mutant with `max_processes` reader slots.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mutation` is not `None`/`DemoteFlagRaise` or
-    /// `max_processes` is 0.
-    pub fn new_in(mutation: Mutation, max_processes: usize, _backend: B) -> Self {
-        assert!(
-            matches!(mutation, Mutation::None | Mutation::DemoteFlagRaise),
-            "{mutation:?} is not a flags mutation"
-        );
-        assert!(max_processes > 0, "max_processes must be positive");
-        Self {
-            mutation,
-            reader_flags: (0..max_processes).map(|_| B::Bool::new(false)).collect(),
-            writer_mutex: TtasLock::new_in(B::default()),
-            writer_present: B::Bool::new(false),
-        }
-    }
-
-    fn raise_order(&self) -> Ordering {
-        // Site BL-FLAGS: the original raise is SeqCst so it cannot pass the
-        // writer_present check that follows it.
-        if self.mutation == Mutation::DemoteFlagRaise {
-            Ordering::Release // MUTATION POINT: the raise parks in the buffer
-        } else {
-            Ordering::SeqCst
-        }
-    }
-
-    /// Mirror of the real baseline's quiescence condition: every flag down
-    /// and no writer present.
-    pub fn is_quiescent(&self) -> bool {
-        self.reader_flags.iter().all(|f| !f.load(Ordering::Relaxed))
-            && !self.writer_present.load(Ordering::Relaxed)
-    }
-}
-
-impl<B: Backend> fmt::Debug for MutantFlags<B> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("MutantFlags").field("mutation", &self.mutation).finish()
-    }
-}
-
-impl<B: Backend> RawRwLock for MutantFlags<B> {
-    type ReadToken = ();
-    type WriteToken = ();
-
-    fn read_lock(&self, pid: Pid) {
-        let flag = &self.reader_flags[pid.index()];
-        loop {
-            flag.store(true, self.raise_order());
-            if !self.writer_present.load(Ordering::SeqCst) {
-                return;
-            }
-            flag.store(false, Ordering::Relaxed);
-            spin_until(|| !self.writer_present.load(Ordering::Acquire));
-        }
-    }
-
-    fn read_unlock(&self, pid: Pid, (): ()) {
-        self.reader_flags[pid.index()].store(false, Ordering::Release);
-    }
-
-    fn write_lock(&self, _pid: Pid) {
-        self.writer_mutex.lock();
-        self.writer_present.store(true, Ordering::SeqCst);
-        for flag in self.reader_flags.iter() {
-            spin_until(|| !flag.load(Ordering::Acquire));
-        }
-    }
-
-    fn write_unlock(&self, _pid: Pid, (): ()) {
-        self.writer_present.store(false, Ordering::Release);
-        self.writer_mutex.unlock(());
-    }
-
-    fn max_processes(&self) -> usize {
-        self.reader_flags.len()
-    }
-}
-
-impl<B: Backend> RawTryReadLock for MutantFlags<B> {
-    fn try_read_lock(&self, pid: Pid) -> Option<()> {
-        let flag = &self.reader_flags[pid.index()];
-        flag.store(true, self.raise_order());
-        if !self.writer_present.load(Ordering::SeqCst) {
-            Some(())
-        } else {
-            flag.store(false, Ordering::Relaxed);
-            None
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn controls_behave_like_the_originals_single_threaded() {
-        let lock = MutantFig1::new_in(Mutation::None, Sched);
-        let r = lock.read_lock(Pid::from_index(0));
-        lock.read_unlock(Pid::from_index(0), r);
-        let w = lock.write_lock(Pid::from_index(1));
-        lock.write_unlock(Pid::from_index(1), w);
-        assert!(lock.is_quiescent());
-
-        let ttas = MutantTtas::new_in(Mutation::None, Sched);
-        ttas.lock();
-        ttas.unlock(());
-
-        let anderson = MutantAnderson::new_in(Mutation::None, 2, Sched);
-        for _ in 0..4 {
-            let t = anderson.lock();
-            anderson.unlock(t);
-        }
-
-        let bravo = MutantBravo::new_in(Mutation::None, 2, 2, Sched);
-        let r = bravo.read_lock(Pid::from_index(0));
-        assert!(matches!(r, MutantBravoReadToken::Fast { .. }));
-        bravo.read_unlock(Pid::from_index(0), r);
-        bravo.write_lock(Pid::from_index(1));
-        bravo.write_unlock(Pid::from_index(1), ());
-        assert!(bravo.is_quiescent());
-
-        let asynk = MutantAsyncRw::new_in(Mutation::None, 2, Sched);
-        crate::async_exec::block_on_sched(async {
-            asynk.read_acquire(Pid::from_index(0)).await;
-            asynk.read_release(Pid::from_index(0));
-            asynk.write_acquire(Pid::from_index(1)).await;
-            asynk.write_release(Pid::from_index(1));
-        });
-        assert!(asynk.is_quiescent());
+        let ticket = MutantTokenlessTicket::new_in(Mutation::None, 2, Sched);
+        ticket.read_lock(Pid::from_index(0));
+        ticket.read_unlock(Pid::from_index(0), ());
+        let doorway = ticket.start_write(Pid::from_index(1));
+        assert!(matches!(doorway, MutantDoorway::Queued(_)));
+        ticket.poll_write(Pid::from_index(1), doorway).expect("uncontended doorway grants");
+        ticket.write_unlock(Pid::from_index(1), ());
 
         let swap = MutantSwap::new_in(Mutation::None, 2, 4, Sched);
         swap.reader_passage(Pid::from_index(0));
@@ -1109,48 +341,19 @@ mod tests {
         swap.reader_passage(Pid::from_index(1));
         swap.writer_passage();
         assert!(swap.is_quiescent());
-
-        let flags = MutantFlags::new_in(Mutation::None, 2, Sched);
-        flags.read_lock(Pid::from_index(0));
-        flags.read_unlock(Pid::from_index(0), ());
-        flags.write_lock(Pid::from_index(1));
-        flags.write_unlock(Pid::from_index(1), ());
-        assert!(flags.is_quiescent());
     }
 
+    /// The async tier's hand-written mutant (its doorway drives
+    /// `AsyncRwLock`) accepts only its own mutation.
     #[test]
-    #[should_panic(expected = "not an async mutation")]
+    #[should_panic(expected = "not a doorway mutation")]
     fn async_rejects_foreign_mutations() {
-        let _ = MutantAsyncRw::new_in(Mutation::SkipGateClose, 2, Sched);
-    }
-
-    #[test]
-    #[should_panic(expected = "not a Figure 1 mutation")]
-    fn fig1_rejects_foreign_mutations() {
-        let _ = MutantFig1::new_in(Mutation::WrongCasExpected, Sched);
-    }
-
-    #[test]
-    #[should_panic(expected = "not a TTAS mutation")]
-    fn ttas_rejects_foreign_mutations() {
-        let _ = MutantTtas::new_in(Mutation::SkipGateClose, Sched);
-    }
-
-    #[test]
-    #[should_panic(expected = "not a Bravo mutation")]
-    fn bravo_rejects_foreign_mutations() {
-        let _ = MutantBravo::new_in(Mutation::SkipGateClose, 2, 2, Sched);
+        let _ = MutantTokenlessTicket::new_in(Mutation::PrematureRetire, 2, Sched);
     }
 
     #[test]
     #[should_panic(expected = "not a Swap mutation")]
     fn swap_rejects_foreign_mutations() {
-        let _ = MutantSwap::new_in(Mutation::SkipGateClose, 2, 4, Sched);
-    }
-
-    #[test]
-    #[should_panic(expected = "not a flags mutation")]
-    fn flags_rejects_foreign_mutations() {
-        let _ = MutantFlags::new_in(Mutation::SkipGateClose, 2, Sched);
+        let _ = MutantSwap::new_in(Mutation::DropWaiterToken, 2, 4, Sched);
     }
 }

@@ -15,9 +15,8 @@
 //! batteries: `write().await` model-checked on a core paper lock
 //! (Figure 1), the bounded-bypass oracle holding tokened writers to the
 //! in-flight read set, and the cancel/unlink race of dropping a write
-//! future mid-drain. This file is what the CI `async-quick` and
-//! `fair-quick` steps run (together with the `DropWakeup` /
-//! `DropWaiterToken` mutant filters of the mutation battery).
+//! future mid-drain. The mutation battery (`tests/mutants.rs`) adds the
+//! `DropWakeup` fault and the `DropWaiterToken` mutant on top.
 
 use rmr_async::lock::AsyncRwLock;
 use rmr_bravo::{Bravo, BravoConfig};

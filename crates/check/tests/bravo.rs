@@ -8,8 +8,7 @@
 //! to the slow path, the counter re-bias firing between revocations, and
 //! the one-shot bounded revocation of the try-write tier. Tables are kept
 //! tiny (1–4 slots) so the writer's revocation scan stays cheap per
-//! schedule and collisions actually occur. This file is what the CI
-//! `bravo-quick` step runs.
+//! schedule and collisions actually occur.
 
 use rmr_bravo::{Bravo, BravoConfig};
 use rmr_check::exhaustive;

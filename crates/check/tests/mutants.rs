@@ -2,25 +2,33 @@
 //! must pass, and every reported failure must replay deterministically.
 //!
 //! This is the checker proving it has teeth (the acceptance bar of the
-//! `rmr-check` subsystem): a deliberately broken variant of the real lock
-//! code — one dropped store, one wrong CAS expected value — must fall to
+//! `rmr-check` subsystem): the *shipped* lock code with one seeded bug —
+//! one dropped store, one lying swap, one demoted ordering — must fall to
 //! a bounded schedule budget, and the *identical* budget must pass the
-//! faithful copy, so a red battery always means a real bug, never a
-//! flaky harness.
+//! same code unfaulted, so a red battery always means a real bug, never
+//! a flaky harness.
+//!
+//! The bugs are [`Fault`]s armed at typed sites of the shipped locks (see
+//! `rmr_mutex::sched`): each test arms its fault for its own scope, and
+//! every run the battery starts on the test's thread applies it. Two
+//! bugs that are not single-site faults keep hand-written mutants
+//! ([`MutantTokenlessTicket`], [`MutantSwap`]; see `rmr_check::mutants`).
 
-use rmr_check::async_exec::block_on_sched;
+use rmr_async::lock::AsyncRwLock;
+use rmr_baselines::{DistributedFlagRwLock, TicketRwLock};
+use rmr_bravo::{Bravo, BravoConfig};
+use rmr_check::async_exec::async_rw_trial;
 use rmr_check::harness::{
     mutex_trial, randomized_batteries, randomized_batteries_in, run_trial, run_trial_in, rw_trial,
-    RwOracle, Scenario, TaskBody, Trial,
+    Scenario, TaskBody, Trial,
 };
-use rmr_check::mutants::{
-    MutantAnderson, MutantAsyncRw, MutantBravo, MutantFig1, MutantFlags, MutantSwap,
-    MutantTokenlessTicket, MutantTtas, Mutation,
-};
+use rmr_check::mutants::{MutantSwap, MutantTokenlessTicket, Mutation};
 use rmr_check::{exhaustive, exhaustive_in};
 use rmr_core::registry::Pid;
-use rmr_mutex::sched::{MemoryModel, Replay, RunError};
-use rmr_mutex::Sched;
+use rmr_core::swmr::SwmrWriterPriority;
+use rmr_mutex::mem::{Ordering, Site};
+use rmr_mutex::sched::{self, Fault, FaultGuard, FaultKind, MemoryModel, Replay, RunError};
+use rmr_mutex::{AndersonLock, Sched, TtasLock};
 use std::sync::Arc;
 
 const BUDGET: u64 = 30_000;
@@ -28,75 +36,45 @@ const BUDGET: u64 = 30_000;
 const MUTANT_SCHEDULES: u64 = 40;
 /// DFS schedule cap for the final exhaustive stage.
 const MUTANT_DFS_CAP: u64 = 5_000;
-/// Schedules each control copy must survive.
+/// Schedules each control must survive.
 const CONTROL_SCHEDULES: u64 = 15;
 
-fn fig1_trial(mutation: Mutation, scenario: Scenario) -> Trial {
-    let lock = Arc::new(MutantFig1::new_in(mutation, Sched));
+/// Arms `kind` at `site` for every run the calling test starts until the
+/// guard drops.
+fn fault(site: Site, kind: FaultKind) -> FaultGuard {
+    sched::arm(Fault { site, kind })
+}
+
+fn fig1_trial(scenario: Scenario) -> Trial {
+    let lock = Arc::new(SwmrWriterPriority::new_in(Sched));
     let q = Arc::clone(&lock);
-    // Quiescence is only required of the control copy: a mutant that
-    // merely corrupts its idle state without breaking a run-time property
-    // would still be caught here, but none of the seeded ones need it.
-    rw_trial(lock, scenario, move || mutation != Mutation::None || q.is_quiescent())
+    rw_trial(lock, scenario, move || q.is_quiescent())
 }
 
-fn ttas_trial(mutation: Mutation) -> Trial {
-    mutex_trial(Arc::new(MutantTtas::new_in(mutation, Sched)), 3, 2)
+fn ttas_trial(tasks: usize) -> Trial {
+    mutex_trial(Arc::new(TtasLock::new_in(Sched)), tasks, 2)
 }
 
-fn anderson_trial(mutation: Mutation) -> Trial {
-    mutex_trial(Arc::new(MutantAnderson::new_in(mutation, 2, Sched)), 2, 3)
+fn anderson_trial() -> Trial {
+    mutex_trial(Arc::new(AndersonLock::new_in(2, Sched)), 2, 3)
 }
 
 /// Async readers and writers (deterministic executors, one per task)
-/// over the mutant's explicit acquire/release protocol. The write
-/// release is the mutation point: [`Mutation::DropWakeup`] never wakes,
-/// so a reader that parked behind the writer spins its parker forever —
-/// a deadlock (or budget) report, exactly like the Figure 1 lost-permit
-/// mutant.
-fn async_trial(mutation: Mutation, scenario: Scenario) -> Trial {
-    let lock = Arc::new(MutantAsyncRw::new_in(mutation, scenario.tasks(), Sched));
-    let oracle = Arc::new(RwOracle::new());
-    let mut tasks: Vec<TaskBody> = Vec::new();
-    for r in 0..scenario.readers {
-        let lock = Arc::clone(&lock);
-        let oracle = Arc::clone(&oracle);
-        tasks.push(Box::new(move || {
-            let pid = Pid::from_index(r);
-            block_on_sched(async {
-                for _ in 0..scenario.attempts {
-                    lock.read_acquire(pid).await;
-                    oracle.reader_cs();
-                    lock.read_release(pid);
-                }
-            });
-        }));
-    }
-    for w in 0..scenario.writers {
-        let lock = Arc::clone(&lock);
-        let oracle = Arc::clone(&oracle);
-        tasks.push(Box::new(move || {
-            let pid = Pid::from_index(scenario.readers + w);
-            block_on_sched(async {
-                for _ in 0..scenario.attempts {
-                    lock.write_acquire(pid).await;
-                    oracle.writer_cs();
-                    lock.write_release(pid);
-                }
-            });
-        }));
-    }
+/// through the shipped `AsyncRwLock` over the ticket baseline. The
+/// release paths' full wake-up is the fault point: with `wake_all`'s
+/// skip checks reading zero, a future that parked behind the writer is
+/// never re-polled — a deadlock (or budget) report, exactly like the
+/// Figure 1 lost-permit fault.
+fn async_trial(scenario: Scenario) -> Trial {
+    let capacity = scenario.tasks();
+    let lock = Arc::new(AsyncRwLock::with_raw_and_capacity_in(
+        (),
+        TicketRwLock::new_in(capacity, Sched),
+        capacity,
+        Sched,
+    ));
     let q = Arc::clone(&lock);
-    Trial {
-        tasks,
-        post: Box::new(move || {
-            oracle.settle(&scenario)?;
-            if mutation == Mutation::None && !q.is_quiescent() {
-                return Err("async mutant control is not quiescent after a clean run".into());
-            }
-            Ok(())
-        }),
-    }
+    async_rw_trial(lock, scenario, move || q.is_quiescent())
 }
 
 /// Readers pin epoch-stamped snapshots; one writer task models the
@@ -142,18 +120,22 @@ fn swap_mutant_trial(
     }
 }
 
-fn flags_trial(mutation: Mutation, scenario: Scenario) -> Trial {
-    let lock = Arc::new(MutantFlags::new_in(mutation, scenario.tasks(), Sched));
+fn flags_trial(scenario: Scenario) -> Trial {
+    let lock = Arc::new(DistributedFlagRwLock::new_in(scenario.tasks(), Sched));
     let q = Arc::clone(&lock);
-    rw_trial(lock, scenario, move || mutation != Mutation::None || q.is_quiescent())
+    rw_trial(lock, scenario, move || q.is_quiescent())
 }
 
-fn bravo_trial(mutation: Mutation, scenario: Scenario) -> Trial {
+fn bravo_trial(scenario: Scenario) -> Trial {
     // 2 table slots, re-bias after 2 slow reads: revocation, collision and
     // re-bias all reachable within small scenarios.
-    let lock = Arc::new(MutantBravo::new_in(mutation, 2, 2, Sched));
+    let lock = Arc::new(Bravo::new_in(
+        TicketRwLock::new_in(scenario.tasks(), Sched),
+        BravoConfig { table_slots: 2, rebias_after: 2, initial_bias: true },
+        Sched,
+    ));
     let q = Arc::clone(&lock);
-    rw_trial(lock, scenario, move || mutation != Mutation::None || q.is_quiescent())
+    rw_trial(lock, scenario, move || q.is_quiescent())
 }
 
 /// Escalating hunt: PCT, then uniform random walks, then bounded DFS on
@@ -212,7 +194,7 @@ fn assert_caught(
     }
 }
 
-/// The control copy must pass both battery styles at the mutants' budgets.
+/// The control must pass both battery styles at the mutants' budgets.
 fn assert_control_passes(label: &str, mk: impl Fn() -> Trial) {
     for report in randomized_batteries(label, mk, 0x0c0a_7401, CONTROL_SCHEDULES, 3, BUDGET) {
         assert!(report.passed(), "{report}");
@@ -266,7 +248,7 @@ fn assert_caught_weak(
     }
 }
 
-/// The control copy must also pass the *weak-model* batteries at the
+/// The control must also pass the *weak-model* batteries at the
 /// same budgets: a catch only counts if the un-mutated twin survives the
 /// identical exploration.
 fn assert_control_passes_weak(label: &str, mk: impl Fn() -> Trial) {
@@ -286,76 +268,88 @@ fn assert_control_passes_weak(label: &str, mk: impl Fn() -> Trial) {
 
 #[test]
 fn fig1_control_passes_the_mutant_budgets() {
-    assert_control_passes("fig1-control", || fig1_trial(Mutation::None, Scenario::new(2, 1, 2)));
+    assert_control_passes("fig1-control", || fig1_trial(Scenario::new(2, 1, 2)));
 }
 
 #[test]
 fn fig1_skip_gate_close_is_caught() {
-    // The stale open gate needs the writer's second attempt, hence 2+
-    // writer passages (also in the small DFS config).
+    // Site F1-L8, both stores. The stale open gate needs the writer's
+    // second attempt, hence 2+ writer passages (also in the small DFS
+    // config).
+    let _fault = fault(Site::F1_L8, FaultKind::Skip);
     assert_caught(
         "fig1-skip-gate-close",
-        || fig1_trial(Mutation::SkipGateClose, Scenario::new(2, 1, 3)),
-        || fig1_trial(Mutation::SkipGateClose, Scenario::new(1, 1, 2)),
+        || fig1_trial(Scenario::new(2, 1, 3)),
+        || fig1_trial(Scenario::new(1, 1, 2)),
         &["P1 violated", "torn read", "deadlock", "not quiescent"],
     );
 }
 
 #[test]
 fn fig1_skip_side_flip_is_caught() {
+    // Site F1-L3: readers keep registering on the stale side the writer
+    // is draining.
+    let _fault = fault(Site::F1_L3, FaultKind::Skip);
     assert_caught(
         "fig1-skip-side-flip",
-        || fig1_trial(Mutation::SkipSideFlip, Scenario::new(2, 1, 3)),
-        || fig1_trial(Mutation::SkipSideFlip, Scenario::new(1, 1, 2)),
+        || fig1_trial(Scenario::new(2, 1, 3)),
+        || fig1_trial(Scenario::new(1, 1, 2)),
         &["P1 violated", "torn read", "deadlock", "not quiescent"],
     );
 }
 
 #[test]
 fn fig1_skip_reader_permit_is_caught() {
-    // The lost wakeup parks the writer forever: a deadlock (or, if the
-    // budget trips first mid-confirmation, a budget report).
+    // Site F1-L28. The lost wakeup parks the writer forever: a deadlock
+    // (or, if the budget trips first mid-confirmation, a budget report).
+    let _fault = fault(Site::F1_L28, FaultKind::Skip);
     assert_caught(
         "fig1-skip-reader-permit",
-        || fig1_trial(Mutation::SkipReaderPermit, Scenario::new(2, 1, 2)),
-        || fig1_trial(Mutation::SkipReaderPermit, Scenario::new(1, 1, 2)),
+        || fig1_trial(Scenario::new(2, 1, 2)),
+        || fig1_trial(Scenario::new(1, 1, 2)),
         &["deadlock", "budget"],
     );
 }
 
 #[test]
 fn ttas_control_passes_the_mutant_budgets() {
-    assert_control_passes("ttas-control", || ttas_trial(Mutation::None));
+    assert_control_passes("ttas-control", || ttas_trial(3));
 }
 
 #[test]
 fn ttas_wrong_cas_expected_is_caught() {
+    // Site MX-TTAS: the acquire swap reports "was free" whatever it
+    // displaced — the swap form of a CAS whose expected value is the
+    // value just read. A second holder walks in over the first.
+    let _fault = fault(Site::MX_TTAS, FaultKind::Read(0));
     assert_caught(
         "ttas-wrong-cas",
-        || ttas_trial(Mutation::WrongCasExpected),
-        || mutex_trial(Arc::new(MutantTtas::new_in(Mutation::WrongCasExpected, Sched)), 2, 2),
+        || ttas_trial(3),
+        || ttas_trial(2),
         &["mutual exclusion violated", "torn pair"],
     );
 }
 
 #[test]
 fn anderson_control_passes_the_mutant_budgets() {
-    assert_control_passes("anderson-control", || anderson_trial(Mutation::None));
+    assert_control_passes("anderson-control", anderson_trial);
 }
 
 #[test]
 fn bravo_control_passes_the_mutant_budgets() {
-    assert_control_passes("bravo-control", || bravo_trial(Mutation::None, Scenario::new(2, 1, 2)));
+    assert_control_passes("bravo-control", || bravo_trial(Scenario::new(2, 1, 2)));
 }
 
 #[test]
 fn bravo_skip_revocation_scan_is_caught() {
-    // The writer enters over a still-published fast reader: an exclusion
-    // violation or a torn read, depending on who the oracle trips first.
+    // Site BR-SCAN: every slot reads empty, so the writer enters over a
+    // still-published fast reader — an exclusion violation or a torn
+    // read, depending on who the oracle trips first.
+    let _fault = fault(Site::BR_SCAN, FaultKind::Read(0));
     assert_caught(
         "bravo-skip-revocation-scan",
-        || bravo_trial(Mutation::SkipRevocationScan, Scenario::new(2, 1, 2)),
-        || bravo_trial(Mutation::SkipRevocationScan, Scenario::new(1, 1, 1)),
+        || bravo_trial(Scenario::new(2, 1, 2)),
+        || bravo_trial(Scenario::new(1, 1, 1)),
         &["P1 violated", "torn read"],
     );
 }
@@ -382,7 +376,7 @@ fn swap_premature_retire_is_caught() {
 
 #[test]
 fn async_control_passes_the_mutant_budgets() {
-    assert_control_passes("async-control", || async_trial(Mutation::None, Scenario::new(2, 1, 2)));
+    assert_control_passes("async-control", || async_trial(Scenario::new(2, 1, 2)));
 }
 
 /// The fairness trial over the doorway mutant: the production
@@ -391,7 +385,7 @@ fn async_control_passes_the_mutant_budgets() {
 /// the dropped token.
 fn async_fair_mutant_trial(mutation: Mutation, scenario: Scenario) -> Trial {
     let capacity = scenario.tasks().max(4);
-    let lock = Arc::new(rmr_async::lock::AsyncRwLock::with_raw_and_capacity_in(
+    let lock = Arc::new(AsyncRwLock::with_raw_and_capacity_in(
         (),
         MutantTokenlessTicket::new_in(mutation, capacity, Sched),
         capacity,
@@ -427,28 +421,34 @@ fn async_drop_waiter_token_is_caught() {
 
 #[test]
 fn async_drop_wakeup_is_caught() {
-    // A reader must park behind the writer before the writer's (skipped)
-    // release wake — 2 writer passages give every strategy that window.
+    // Site AS-WAKE-ALL: the write release (and the last reader's) skips
+    // its wake-up. A reader must park behind the writer before the
+    // writer's release — 2 writer passages give every strategy that
+    // window.
+    let _fault = fault(Site::AS_WAKE_ALL, FaultKind::Read(0));
     assert_caught(
         "async-drop-wakeup",
-        || async_trial(Mutation::DropWakeup, Scenario::new(2, 1, 2)),
-        || async_trial(Mutation::DropWakeup, Scenario::new(1, 1, 2)),
+        || async_trial(Scenario::new(2, 1, 2)),
+        || async_trial(Scenario::new(1, 1, 2)),
         &["deadlock", "budget"],
     );
 }
 
 #[test]
 fn anderson_skip_slot_close_is_caught() {
+    // Site MX-ANDERSON-RESET: both slots end up open and two later
+    // tickets enter together.
+    let _fault = fault(Site::MX_ANDERSON_RESET, FaultKind::Skip);
     assert_caught(
         "anderson-skip-slot-close",
-        || anderson_trial(Mutation::SkipSlotClose),
-        || anderson_trial(Mutation::SkipSlotClose),
+        anderson_trial,
+        anderson_trial,
         &["mutual exclusion violated", "torn pair"],
     );
 }
 
 // ---------------------------------------------------------------------
-// The ordering mutants (`Demote*`): each demotes exactly one SeqCst
+// The ordering faults (`Demote*`): each demotes exactly one SeqCst
 // store to Release at a site DESIGN.md §13 proves must stay SeqCst.
 // Under sequential consistency the demotion changes nothing — the SC
 // batteries must pass it. Under the store buffer the demoted store can
@@ -457,19 +457,25 @@ fn anderson_skip_slot_close_is_caught() {
 // the oracles alone) is what polices the relaxation sweep.
 // ---------------------------------------------------------------------
 
+/// `DemoteFlagRaise`: the flags baseline's reader raise, SeqCst → Release.
+fn demote_flag_raise() -> FaultGuard {
+    fault(Site::BL_FLAGS_RAISE, FaultKind::Order(Ordering::Release))
+}
+
+/// `DemoteBiasClear`: Bravo's bias clear, SeqCst → Release.
+fn demote_bias_clear() -> FaultGuard {
+    fault(Site::BR_CLEAR, FaultKind::Order(Ordering::Release))
+}
+
 #[test]
 fn flags_control_passes_the_weak_budgets() {
-    assert_control_passes("flags-control", || flags_trial(Mutation::None, Scenario::new(2, 1, 2)));
-    assert_control_passes_weak("flags-control", || {
-        flags_trial(Mutation::None, Scenario::new(2, 1, 2))
-    });
+    assert_control_passes("flags-control", || flags_trial(Scenario::new(2, 1, 2)));
+    assert_control_passes_weak("flags-control", || flags_trial(Scenario::new(2, 1, 2)));
 }
 
 #[test]
 fn bravo_and_swap_controls_pass_the_weak_budgets() {
-    assert_control_passes_weak("bravo-control", || {
-        bravo_trial(Mutation::None, Scenario::new(2, 1, 2))
-    });
+    assert_control_passes_weak("bravo-control", || bravo_trial(Scenario::new(2, 1, 2)));
     assert_control_passes_weak("swap-control", || swap_mutant_trial(Mutation::None, 2, 2, 2));
 }
 
@@ -480,12 +486,14 @@ fn sc_cannot_see_the_ordering_mutants() {
     // (the mutants' own budgets) must come back green. This is the
     // "invisible half" of the Demote* proof — a mutant the SC batteries
     // caught would be a protocol bug, not an ordering bug.
-    assert_control_passes("flags-demote-sc", || {
-        flags_trial(Mutation::DemoteFlagRaise, Scenario::new(2, 1, 2))
-    });
-    assert_control_passes("bravo-demote-sc", || {
-        bravo_trial(Mutation::DemoteBiasClear, Scenario::new(2, 1, 2))
-    });
+    {
+        let _fault = demote_flag_raise();
+        assert_control_passes("flags-demote-sc", || flags_trial(Scenario::new(2, 1, 2)));
+    }
+    {
+        let _fault = demote_bias_clear();
+        assert_control_passes("bravo-demote-sc", || bravo_trial(Scenario::new(2, 1, 2)));
+    }
     assert_control_passes("swap-demote-sc", || {
         swap_mutant_trial(Mutation::DemotePublishEpoch, 2, 2, 2)
     });
@@ -493,14 +501,15 @@ fn sc_cannot_see_the_ordering_mutants() {
 
 #[test]
 fn flags_demote_flag_raise_is_caught_under_the_weak_model() {
-    // Site BL-FLAGS: the reader's flag raise is one half of a Dekker
-    // square. Buffered, the raise is invisible to the writer's scan while
-    // the reader's SeqCst `writer_present` check (a buffer drain + native
-    // load) still sees no writer: both sides enter.
+    // Site BL-FLAGS-RAISE: the reader's flag raise is one half of a
+    // Dekker square. Buffered, the raise is invisible to the writer's
+    // scan while the reader's SeqCst `writer_present` check (a buffer
+    // drain + native load) still sees no writer: both sides enter.
+    let _fault = demote_flag_raise();
     assert_caught_weak(
         "flags-demote-flag-raise",
-        || flags_trial(Mutation::DemoteFlagRaise, Scenario::new(2, 1, 2)),
-        || flags_trial(Mutation::DemoteFlagRaise, Scenario::new(1, 1, 1)),
+        || flags_trial(Scenario::new(2, 1, 2)),
+        || flags_trial(Scenario::new(1, 1, 1)),
         &["P1 violated", "torn read"],
     );
 }
@@ -511,10 +520,11 @@ fn bravo_demote_bias_clear_is_caught_under_the_weak_model() {
     // fast reader's SeqCst re-check still sees the bias up after the
     // writer's (already passed) revocation scan: reader and writer
     // overlap in the critical section.
+    let _fault = demote_bias_clear();
     assert_caught_weak(
         "bravo-demote-bias-clear",
-        || bravo_trial(Mutation::DemoteBiasClear, Scenario::new(2, 1, 2)),
-        || bravo_trial(Mutation::DemoteBiasClear, Scenario::new(1, 1, 1)),
+        || bravo_trial(Scenario::new(2, 1, 2)),
+        || bravo_trial(Scenario::new(1, 1, 1)),
         &["P1 violated", "torn read"],
     );
 }

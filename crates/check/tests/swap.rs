@@ -18,7 +18,7 @@
 //!
 //! Both retirement policies run the same trials: eager (writers wait out
 //! pins inside the write session) and batched (pins age the retired
-//! list). This file is what the CI `swap-quick` step runs.
+//! list).
 
 use rmr_check::exhaustive;
 use rmr_check::harness::{randomized_batteries, TaskBody, Trial};

@@ -1,6 +1,6 @@
 //! The two "sides" of the paper's side-toggling scheme.
 
-use rmr_mutex::mem::{Backend, Native, Ordering, SharedBool};
+use rmr_mutex::mem::{Backend, Native, Ordering, SharedBool, Site};
 use std::fmt;
 use std::ops::Not;
 
@@ -102,6 +102,12 @@ impl<B: Backend> AtomicSide<B> {
     /// Atomic write with the given ordering.
     pub fn store(&self, side: Side, order: Ordering) {
         self.0.store(side == Side::One, order);
+    }
+
+    /// [`Self::store`] at a fault [`Site`] (see [`rmr_mutex::mem`]).
+    #[inline]
+    pub fn store_at(&self, site: Site, side: Side, order: Ordering) {
+        self.0.store_at(site, side == Side::One, order);
     }
 }
 

@@ -35,7 +35,7 @@ use crate::packed::{Packed, PackedFaa};
 use crate::raw::{RawParkedWaiters, RawRwLock, RawTryReadLock};
 use crate::registry::Pid;
 use crate::side::{AtomicSide, Side};
-use rmr_mutex::mem::{Backend, Native, Ordering as MemOrdering, SharedBool, SharedWord};
+use rmr_mutex::mem::{Backend, Native, Ordering as MemOrdering, SharedBool, SharedWord, Site};
 use rmr_mutex::spin_until;
 use rmr_mutex::CachePadded;
 use std::fmt;
@@ -276,7 +276,7 @@ impl<B: Backend> SwmrWriterPriority<B> {
         // follows it inherits this store via the RMW release chain and
         // re-reads D at its line 18; any reader registered before it is
         // drained at line 6. (See DESIGN.md §13, site F1-L3.)
-        self.d.store(curr, MemOrdering::Relaxed); // line 3: D ← currD
+        self.d.store_at(Site::F1_L3, curr, MemOrdering::Relaxed); // line 3: D ← currD
         WriterAttempt { curr, prev }
     }
 
@@ -310,8 +310,8 @@ impl<B: Backend> SwmrWriterPriority<B> {
         // Release: conservatively keeps the close ordered after the side
         // drain above. (Late side-prevD registrants are diverted by their
         // line-18 re-check, which would license Relaxed, but the close is
-        // writer-slow-path code where Release is free.)
-        prev.gate.store(false, MemOrdering::Release); // line 8: Gate[prevD] ← false
+        // writer-slow-path code where Release is free.) Site F1-L8.
+        prev.gate.store_at(Site::F1_L8, false, MemOrdering::Release); // line 8: Gate[prevD] ← false
 
         // Relaxed reset: same argument as line 4, via the line-10 F&A and
         // the readers' line 29/30.
@@ -523,10 +523,11 @@ impl<B: Backend> SwmrWriterPriority<B> {
         let prev = self.side(!curr);
         let old = prev.count.sub_writer(MemOrdering::SeqCst); // line 7
         debug_assert!(old.writer_waiting());
-        prev.gate.store(false, MemOrdering::Release); // line 8
-                                                      // Empty passage's line 14: readers parked on `Gate[currD]` during
-                                                      // the abandoned passage resume here. Release pairs with their
-                                                      // Acquire gate spin.
+        prev.gate.store_at(Site::F1_L8, false, MemOrdering::Release); // line 8
+
+        // Empty passage's line 14: readers parked on `Gate[currD]` during
+        // the abandoned passage resume here. Release pairs with their
+        // Acquire gate spin.
         self.side(curr).gate.store(true, MemOrdering::Release);
     }
 
@@ -668,11 +669,13 @@ impl<B: Backend> SwmrWriterPriority<B> {
         self.exit_count.add_reader(MemOrdering::SeqCst); // line 26: F&A(EC, [0, 1])
         let old = self.side(d).count.sub_reader(MemOrdering::SeqCst); // line 27: F&A(C[d], [0, -1])
         if old == Packed::ONE_ONE {
-            // Release pairs with the writer's Acquire spin at line 6.
-            self.side(d).permit.store(true, MemOrdering::Release); // line 28
-                                                                   // If the waiting writer was cancelled, nobody is spinning on
-                                                                   // the permit we just raised: complete its abandoned passage
-                                                                   // (site F1-ZHELP; see cancel_write).
+            // Release pairs with the writer's Acquire spin at line 6
+            // (site F1-L28).
+            self.side(d).permit.store_at(Site::F1_L28, true, MemOrdering::Release); // line 28
+
+            // If the waiting writer was cancelled, nobody is spinning on
+            // the permit we just raised: complete its abandoned passage
+            // (site F1-ZHELP; see cancel_write).
             self.help_abandoned(d);
         }
         let old = self.exit_count.sub_reader(MemOrdering::SeqCst); // line 29: F&A(EC, [0, -1])

@@ -1,6 +1,6 @@
 //! T. E. Anderson's array-based queueing lock (IEEE TPDS 1990).
 
-use crate::mem::{Backend, Native, Ordering, SharedBool, SharedWord};
+use crate::mem::{Backend, Native, Ordering, SharedBool, SharedWord, Site};
 use crate::pad::CachePadded;
 use crate::spin::spin_until;
 use crate::RawMutex;
@@ -120,8 +120,8 @@ impl<B: Backend> RawMutex for AndersonLock<B> {
         // successor's wake-up, and every later reader of our slot (the
         // wrap-around waiter, capacity tickets later) is reached only
         // through that chain of Release/Acquire handoffs, so coherence
-        // places the reset before any future `true`.
-        self.slot(token.ticket).store(false, Ordering::Relaxed);
+        // places the reset before any future `true`. Site MX-ANDERSON-RESET.
+        self.slot(token.ticket).store_at(Site::MX_ANDERSON_RESET, false, Ordering::Relaxed);
         // Release: publishes the CS writes (and the reset above) to the
         // successor's Acquire spin load.
         self.slot(token.ticket.wrapping_add(1)).store(true, Ordering::Release);

@@ -37,8 +37,20 @@
 //! the site and collected in DESIGN.md §13. The annotations are verified,
 //! not trusted: the `Sched` backend's weak-memory mode (per-task store
 //! buffers with nondeterministic flush points) re-runs the full `rmr-check`
-//! batteries over the relaxed code, and `WrongOrdering` mutants prove the
-//! batteries would catch a demotion of each load-bearing site.
+//! batteries over the relaxed code, and `Order` faults injected at the
+//! load-bearing sites prove the batteries would catch a demotion there.
+//!
+//! # Fault sites
+//!
+//! A handful of accesses carry a [`Site`] — their DESIGN.md §13 tag as a
+//! typed constant — through the `*_at` operations
+//! ([`SharedBool::store_at`], [`SharedBool::swap_at`],
+//! [`SharedWord::load_at`]). Under [`Native`] and [`Counting`] these are
+//! the plain operations, so release code and RMR tallies are unchanged.
+//! Only the [`Sched`](crate::sched::Sched) backend reads the site: it
+//! applies a [`Fault`](crate::sched::Fault) armed for the run, which is
+//! how the `rmr-check` mutation battery seeds its bugs into the shipped
+//! locks instead of into copies of them.
 //!
 //! The RMR *accounting* is deliberately ordering-blind: [`Counting`]
 //! charges a read or an update identically whatever the annotation, so the
@@ -109,6 +121,49 @@ pub const MAX_SLOTS: usize = 64;
 pub const DSM_HOME: usize = 0;
 
 // ---------------------------------------------------------------------
+// Fault sites
+// ---------------------------------------------------------------------
+
+/// A tagged shared-memory access in the shipped code: the DESIGN.md §13
+/// site tag of an access the `Sched` backend can inject a fault at (see
+/// the module docs and [`crate::sched::Fault`]).
+///
+/// Sites exist only as the associated constants below, so a misspelled
+/// site is a compile error rather than a fault that never fires.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct Site(&'static str);
+
+impl Site {
+    /// Fig. 1 line 3, the writer's side flip `D ← currD`.
+    pub const F1_L3: Site = Site("F1-L3");
+    /// Fig. 1 line 8, `Gate[prevD] ← false` — in the writer's waiting
+    /// room and in the completion of an abandoned passage.
+    pub const F1_L8: Site = Site("F1-L8");
+    /// Fig. 1 line 28, `Permit[d] ← true`: the last reader out wakes the
+    /// writer.
+    pub const F1_L28: Site = Site("F1-L28");
+    /// The TTAS lock's acquire swap.
+    pub const MX_TTAS: Site = Site("MX-TTAS");
+    /// The Anderson lock's unlock, closing the releaser's own slot.
+    pub const MX_ANDERSON_RESET: Site = Site("MX-ANDERSON-RESET");
+    /// The distributed-flags baseline: a reader's flag raise.
+    pub const BL_FLAGS_RAISE: Site = Site("BL-FLAGS-RAISE");
+    /// Bravo: the revoking writer's bias clear (all three variants).
+    pub const BR_CLEAR: Site = Site("BR-CLEAR");
+    /// Bravo: the revoking writer's visible-readers scan (all three
+    /// variants).
+    pub const BR_SCAN: Site = Site("BR-SCAN");
+    /// The async tier: `WakerTable::wake_all`'s two scan-skip loads.
+    pub const AS_WAKE_ALL: Site = Site("AS-WAKE-ALL");
+}
+
+impl fmt::Debug for Site {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "site {}", self.0)
+    }
+}
+
+// ---------------------------------------------------------------------
 // The backend trait and the shared-variable vocabulary
 // ---------------------------------------------------------------------
 
@@ -173,6 +228,20 @@ pub trait SharedBool: Send + Sync + 'static {
         success: Ordering,
         failure: Ordering,
     ) -> Result<bool, bool>;
+
+    /// [`store`](Self::store) at a fault [`Site`]; only `Sched` reads the
+    /// site.
+    #[inline]
+    fn store_at(&self, _site: Site, value: bool, order: Ordering) {
+        self.store(value, order);
+    }
+
+    /// [`swap`](Self::swap) at a fault [`Site`]; only `Sched` reads the
+    /// site.
+    #[inline]
+    fn swap_at(&self, _site: Site, value: bool, order: Ordering) -> bool {
+        self.swap(value, order)
+    }
 }
 
 /// A shared atomic 64-bit word; every operation takes an explicit
@@ -208,6 +277,13 @@ pub trait SharedWord: Send + Sync + 'static {
         success: Ordering,
         failure: Ordering,
     ) -> Result<u64, u64>;
+
+    /// [`load`](Self::load) at a fault [`Site`]; only `Sched` reads the
+    /// site.
+    #[inline]
+    fn load_at(&self, _site: Site, order: Ordering) -> u64 {
+        self.load(order)
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -690,6 +766,32 @@ mod tests {
         assert!(b.swap(false, SeqCst));
         assert_eq!(b.compare_exchange(false, true, SeqCst, SeqCst), Ok(false));
         assert_eq!(b.compare_exchange(false, true, SeqCst, SeqCst), Err(true));
+    }
+
+    #[test]
+    fn site_ops_are_the_plain_ops_off_sched() {
+        // Same values and, under Counting, the same tally op for op: a
+        // site tag costs nothing outside the checker.
+        let plain = tally_of(2, || {
+            let b = CountingBool::new(false);
+            b.store(true, Release);
+            assert!(b.swap(false, Acquire));
+            let w = CountingWord::new(4);
+            assert_eq!(w.load(SeqCst), 4);
+        });
+        let sited = tally_of(2, || {
+            let b = CountingBool::new(false);
+            b.store_at(Site::F1_L8, true, Release);
+            assert!(b.swap_at(Site::MX_TTAS, false, Acquire));
+            let w = CountingWord::new(4);
+            assert_eq!(w.load_at(Site::BR_SCAN, SeqCst), 4);
+        });
+        assert_eq!(plain, sited);
+
+        let b = NativeBool::new(false);
+        b.store_at(Site::F1_L3, true, Relaxed);
+        assert!(b.swap_at(Site::MX_TTAS, false, Acquire));
+        assert_eq!(NativeWord::new(9).load_at(Site::AS_WAKE_ALL, SeqCst), 9);
     }
 
     #[test]

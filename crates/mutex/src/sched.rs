@@ -70,6 +70,18 @@
 //! visible write, and deadlock is declared only when no task can move
 //! *and* no buffered store remains to flush.
 //!
+//! # Faults
+//!
+//! The checker's mutation battery seeds bugs into the *shipped* locks
+//! through this backend. An access tagged with a [`Site`] (the `*_at`
+//! operations of [`SharedBool`]/[`SharedWord`]) consults the [`Fault`]
+//! armed for the run: [`FaultKind::Skip`] drops a store,
+//! [`FaultKind::Order`] demotes its ordering (visible only under
+//! [`MemoryModel::StoreBuffer`]), and [`FaultKind::Read`] reports a fixed
+//! value from a load or swap. [`arm`] sets the fault with a scoped guard
+//! on the controlling thread, and [`run_tasks_in`] hands it to the run's
+//! tasks; code outside a scheduled task is never faulted.
+//!
 //! # Execution model
 //!
 //! [`run_tasks`] spawns one OS thread per task, but the controller
@@ -109,10 +121,11 @@
 //! assert!(outcome.result.is_ok());
 //! ```
 
-use crate::mem::{Backend, Ordering, SharedBool, SharedWord};
+use crate::mem::{Backend, Ordering, SharedBool, SharedWord, Site};
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::fmt;
+use std::marker::PhantomData;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -185,6 +198,83 @@ pub enum MemoryModel {
     /// Per-task store buffers with strategy-chosen flush points — the weak
     /// mode that checks the per-site ordering annotations (module docs).
     StoreBuffer,
+}
+
+/// A bug seeded at one [`Site`] of the shipped code (see the module
+/// docs). Arm it with [`arm`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Fault {
+    /// The tagged access the fault hits.
+    pub site: Site,
+    /// What the access does instead.
+    pub kind: FaultKind,
+}
+
+/// How a faulted access misbehaves. A kind that does not apply to the
+/// operation at the site (a `Read` on a store, say) leaves it untouched.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FaultKind {
+    /// The store is dropped: memory keeps its old value.
+    Skip,
+    /// The store runs with this ordering instead of the annotated one.
+    Order(Ordering),
+    /// The load or swap reports this value (`0` is `false`); a swap
+    /// still writes.
+    Read(u64),
+}
+
+thread_local! {
+    /// The fault [`run_tasks_in`] hands to the runs this thread starts.
+    static ARMED: Cell<Option<Fault>> = const { Cell::new(None) };
+}
+
+/// Arms `fault` for every run the calling thread starts until the
+/// returned guard drops (which restores the previously armed fault, if
+/// any). Per-thread, so tests running in parallel never see each other's
+/// faults.
+///
+/// # Example
+///
+/// ```
+/// use rmr_mutex::mem::{Backend, Ordering, SharedBool, Site};
+/// use rmr_mutex::sched::{arm, run_tasks, Fault, FaultKind, RoundRobin, Sched};
+/// use std::sync::Arc;
+///
+/// let gate = Arc::new(<Sched as Backend>::Bool::new(true));
+/// let g = Arc::clone(&gate);
+/// let task: Box<dyn FnOnce() + Send> =
+///     Box::new(move || g.store_at(Site::F1_L8, false, Ordering::Release));
+/// let _fault = arm(Fault { site: Site::F1_L8, kind: FaultKind::Skip });
+/// assert!(run_tasks(vec![task], &mut RoundRobin::default(), 100).result.is_ok());
+/// assert!(gate.load(Ordering::SeqCst), "the skipped store never landed");
+/// ```
+pub fn arm(fault: Fault) -> FaultGuard {
+    FaultGuard { prev: ARMED.replace(Some(fault)), _thread: PhantomData }
+}
+
+/// Disarms the fault set by [`arm`] when dropped.
+#[derive(Debug)]
+#[must_use = "the fault is disarmed as soon as the guard drops"]
+pub struct FaultGuard {
+    prev: Option<Fault>,
+    /// The armed fault is per-thread state: keep the guard on its thread.
+    _thread: PhantomData<*const ()>,
+}
+
+impl Drop for FaultGuard {
+    fn drop(&mut self) {
+        ARMED.set(self.prev);
+    }
+}
+
+/// The kind of the fault armed at `site` for the calling task's run, if
+/// any. `None` off scheduler tasks.
+fn fault_at(site: Site) -> Option<FaultKind> {
+    TASK.with(|t| {
+        let borrow = t.try_borrow().ok()?;
+        let fault = borrow.as_ref()?.shared.fault?;
+        (fault.site == site).then_some(fault.kind)
+    })
 }
 
 /// Monotonic id source for [`Sched`] variables, used in stall tracking and
@@ -274,6 +364,22 @@ impl SharedBool for SchedBool {
         };
         note(self.id, outcome);
         r
+    }
+
+    fn store_at(&self, site: Site, value: bool, order: Ordering) {
+        match fault_at(site) {
+            Some(FaultKind::Skip) => {}
+            Some(FaultKind::Order(demoted)) => self.store(value, demoted),
+            _ => self.store(value, order),
+        }
+    }
+
+    fn swap_at(&self, site: Site, value: bool, order: Ordering) -> bool {
+        let old = self.swap(value, order);
+        match fault_at(site) {
+            Some(FaultKind::Read(v)) => v != 0,
+            _ => old,
+        }
     }
 }
 
@@ -365,6 +471,14 @@ impl SharedWord for SchedWord {
         };
         note(self.id, outcome);
         r
+    }
+
+    fn load_at(&self, site: Site, order: Ordering) -> u64 {
+        let v = self.load(order);
+        match fault_at(site) {
+            Some(FaultKind::Read(r)) => r,
+            _ => v,
+        }
     }
 }
 
@@ -760,10 +874,12 @@ impl State {
 struct Shared {
     state: Mutex<State>,
     cv: Condvar,
+    /// The fault armed on the controlling thread when the run started.
+    fault: Option<Fault>,
 }
 
 impl Shared {
-    fn new(n: usize, weak: bool) -> Self {
+    fn new(n: usize, weak: bool, fault: Option<Fault>) -> Self {
         Self {
             state: Mutex::new(State {
                 current: None,
@@ -777,6 +893,7 @@ impl Shared {
                 poisoned: false,
             }),
             cv: Condvar::new(),
+            fault,
         }
     }
 
@@ -959,8 +1076,9 @@ pub fn run_tasks(
 }
 
 /// Runs `bodies` (one OS thread each) to completion under `strategy` and
-/// the given [`MemoryModel`], granting at most `budget` turns. See the
-/// module docs for the execution model.
+/// the given [`MemoryModel`], granting at most `budget` turns, with the
+/// [`Fault`] the calling thread has [`arm`]ed (if any) applied inside the
+/// tasks. See the module docs for the execution model.
 ///
 /// Construct every lock and every [`Sched`] variable *before* calling this
 /// (on the calling thread) and keep them alive until it returns — under
@@ -986,7 +1104,7 @@ pub fn run_tasks_in(
         n.saturating_mul(1 + STORE_BUFFER_CAP) <= u16::MAX as usize,
         "too many tasks for the decision encoding"
     );
-    let shared = Arc::new(Shared::new(n, model == MemoryModel::StoreBuffer));
+    let shared = Arc::new(Shared::new(n, model == MemoryModel::StoreBuffer, ARMED.get()));
 
     let handles: Vec<_> = bodies
         .into_iter()
@@ -1581,6 +1699,83 @@ mod tests {
         }
         let out = run_tasks_in(tasks, &mut RoundRobin::default(), 10_000, MemoryModel::StoreBuffer);
         assert!(out.result.is_ok(), "{:?}", out.result);
+    }
+
+    // -- the fault seam -------------------------------------------------
+
+    /// Runs `body` as the single task of a run under `model`.
+    fn run_one(model: MemoryModel, body: impl FnOnce() + Send + 'static) {
+        let out = run_tasks_in(vec![boxed(body)], &mut RoundRobin::default(), 1_000, model);
+        assert!(out.result.is_ok(), "{:?}", out.result);
+    }
+
+    #[test]
+    fn skip_fault_leaves_memory_unchanged() {
+        let b = Arc::new(<Sched as Backend>::Bool::new(true));
+        let b0 = Arc::clone(&b);
+        let _fault = arm(Fault { site: Site::F1_L8, kind: FaultKind::Skip });
+        run_one(MemoryModel::SeqCst, move || {
+            b0.store_at(Site::F1_L8, false, Release);
+            assert!(b0.load(Acquire), "the skipped store must not even forward");
+        });
+        assert!(b.load(SeqCst));
+    }
+
+    #[test]
+    fn order_fault_buffers_a_seqcst_store_under_the_store_buffer() {
+        let b = Arc::new(<Sched as Backend>::Bool::new(false));
+        let b0 = Arc::clone(&b);
+        let _fault = arm(Fault { site: Site::BR_CLEAR, kind: FaultKind::Order(Release) });
+        run_one(MemoryModel::StoreBuffer, move || {
+            b0.store_at(Site::BR_CLEAR, true, SeqCst);
+            // No yield point since the store: memory itself still holds
+            // the old value, while the task's own load forwards the new.
+            assert!(!b0.inner.load(SeqCst), "the demoted store must sit in the buffer");
+            assert!(b0.load(Relaxed));
+        });
+        assert!(b.load(SeqCst), "the buffered store lands when the run drains");
+    }
+
+    #[test]
+    fn read_fault_reports_the_armed_value() {
+        let w = Arc::new(<Sched as Backend>::Word::new(5));
+        let b = Arc::new(<Sched as Backend>::Bool::new(true));
+        let (w0, b0) = (Arc::clone(&w), Arc::clone(&b));
+        let _fault = arm(Fault { site: Site::BR_SCAN, kind: FaultKind::Read(0) });
+        run_one(MemoryModel::SeqCst, move || {
+            assert_eq!(w0.load_at(Site::BR_SCAN, SeqCst), 0);
+        });
+        let _fault = arm(Fault { site: Site::MX_TTAS, kind: FaultKind::Read(0) });
+        run_one(MemoryModel::SeqCst, move || {
+            assert!(!b0.swap_at(Site::MX_TTAS, true, Acquire), "the swap reports the armed value");
+            b0.store(false, SeqCst);
+            assert!(!b0.swap_at(Site::MX_TTAS, true, Acquire));
+        });
+        assert_eq!(w.load(SeqCst), 5, "a read fault never writes");
+        assert!(b.load(SeqCst), "a faulted swap still writes");
+    }
+
+    #[test]
+    fn faults_stay_inside_their_run_and_site() {
+        let b = Arc::new(<Sched as Backend>::Bool::new(false));
+        let w = <Sched as Backend>::Word::new(3);
+        {
+            let _fault = arm(Fault { site: Site::F1_L3, kind: FaultKind::Skip });
+            // Outside a scheduled task: the plain store.
+            b.store_at(Site::F1_L3, true, Release);
+            assert!(b.load(SeqCst));
+            let read = arm(Fault { site: Site::AS_WAKE_ALL, kind: FaultKind::Read(0) });
+            assert_eq!(w.load_at(Site::AS_WAKE_ALL, SeqCst), 3);
+            drop(read);
+            // Inside a task but at a different site: the plain store.
+            let b0 = Arc::clone(&b);
+            run_one(MemoryModel::SeqCst, move || b0.store_at(Site::F1_L8, false, Release));
+            assert!(!b.load(SeqCst));
+        }
+        // After the guard drops: the plain store, at the armed site too.
+        let b0 = Arc::clone(&b);
+        run_one(MemoryModel::SeqCst, move || b0.store_at(Site::F1_L3, true, Release));
+        assert!(b.load(SeqCst));
     }
 
     #[test]

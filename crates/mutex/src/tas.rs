@@ -1,6 +1,6 @@
 //! Test-and-set and test-and-test-and-set locks (RMR-model baselines).
 
-use crate::mem::{Backend, Native, Ordering, SharedBool};
+use crate::mem::{Backend, Native, Ordering, SharedBool, Site};
 use crate::spin::SpinWait;
 use crate::RawMutex;
 use std::fmt;
@@ -141,7 +141,8 @@ impl<B: Backend> TtasLock<B> {
     pub fn try_lock(&self) -> bool {
         // The pre-check is a heuristic (Relaxed): correctness rides
         // entirely on the Acquire swap that follows.
-        !self.held.load(Ordering::Relaxed) && !self.held.swap(true, Ordering::Acquire)
+        !self.held.load(Ordering::Relaxed)
+            && !self.held.swap_at(Site::MX_TTAS, true, Ordering::Acquire)
     }
 }
 
@@ -158,8 +159,8 @@ impl<B: Backend> RawMutex for TtasLock<B> {
                 spin.spin();
             }
             // Global phase: one RMW attempt. Acquire pairs with the
-            // Release unlock store of the previous holder.
-            if !self.held.swap(true, Ordering::Acquire) {
+            // Release unlock store of the previous holder. Site MX-TTAS.
+            if !self.held.swap_at(Site::MX_TTAS, true, Ordering::Acquire) {
                 return;
             }
         }

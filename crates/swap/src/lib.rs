@@ -67,9 +67,12 @@
 //! a reader never blocks reclamation by more than one epoch of slack.
 //! The model-checked battery in `rmr-check` (see `tests/swap.rs` there)
 //! drives exactly these oracles — no guard observes a retired payload,
-//! no payload is freed while an epoch pins it — and a
+//! no payload is freed while an epoch pins it — and the
 //! `Mutation::PrematureRetire` mutant (the grace scan skips one slot)
-//! verifies the battery would catch the bug this argument rules out.
+//! verifies the battery would catch the bug this argument rules out. It
+//! is seeded into an arena model of this protocol (`rmr_check::mutants::
+//! MutantSwap`), not into this code through a site fault: here the bug
+//! would be a real use-after-free rather than an oracle panic.
 //!
 //! # RMR cost — an honest accounting
 //!

@@ -67,8 +67,12 @@ impl std::error::Error for RegistryFull {}
 /// Fixed-capacity pid allocator, generic over the memory backend
 /// (`Native` by default).
 ///
-/// Allocation is O(capacity) (a scan with one CAS per probed slot) — pids
-/// are allocated at registration time, never on the lock fast path.
+/// Allocation is O(capacity) (a scan with one CAS per probed slot). Pids
+/// are allocated at registration time and at a thread's first leased
+/// acquisition, which the lease cache then amortizes. Two paths do
+/// allocate per passage: a nested leased acquisition (its guard takes a
+/// transient pid) and any acquisition during thread teardown, once the
+/// thread's lease table is destroyed.
 ///
 /// # The epoch table
 ///

@@ -9,6 +9,9 @@
 //!   paper's proof invariants must hold after **every** step of **any**
 //!   schedule the generator dreams up;
 //! * the pid registry never double-issues;
+//! * thread-local pid leasing against a reference model of who holds
+//!   which pid, across nested, leaked and held guards, dead-entry sweeps
+//!   and thread exits;
 //! * the pid lease reclaim against `rmr-bravo`'s visible-readers table:
 //!   a leaked fast-path guard pins its pid *and* its published slot;
 //! * the DSM model charges an RMR exactly when the home differs.
@@ -26,8 +29,9 @@ use rmrw::sim::invariants::{fig1_invariants, fig2_invariants};
 use rmrw::sim::machine::{Algorithm, Phase, Role};
 use rmrw::sim::rng::SplitMix64;
 use rmrw::sim::runner::{Config, RoundRobin, Runner};
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::Ordering;
+use std::sync::Arc;
 
 const CASES: u64 = 64;
 
@@ -245,6 +249,217 @@ fn registry_never_double_allocates() {
                 reg.release(pid);
             }
             assert_eq!(reg.allocated(), held.len(), "seed {seed:#x}");
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Thread-local pid leasing vs. a reference model of who holds which pid
+// ---------------------------------------------------------------------
+
+type LeasedLock = rmrw::core::RwLock<u8, rmrw::core::mwmr::MwmrStarvationFree>;
+
+/// Pids each lock's registry should have out, and what the current
+/// thread's lease on each lock is doing.
+struct LeaseModel {
+    /// Live locks the test still holds, by id.
+    locks: Vec<(u64, Arc<LeasedLock>)>,
+    /// Expected `registered()` per tracked lock id.
+    allocated: HashMap<u64, usize>,
+    /// The current thread's lease per lock id.
+    leases: HashMap<u64, ModelLease>,
+    next_id: u64,
+    seed: u64,
+}
+
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum ModelLease {
+    /// Cached, no guard open.
+    Idle,
+    /// A guard holding the lease is open.
+    Busy,
+    /// The lease's guard was leaked: pinned for good.
+    Pinned,
+}
+
+/// Which pid a model acquisition took.
+#[derive(Clone, Copy)]
+enum ModelPid {
+    Lease,
+    Transient,
+}
+
+impl LeaseModel {
+    fn acquire(&mut self, id: u64) -> ModelPid {
+        let Some(allocated) = self.allocated.get_mut(&id) else { return ModelPid::Transient };
+        match self.leases.get(&id) {
+            None => {
+                *allocated += 1;
+                self.leases.insert(id, ModelLease::Busy);
+                ModelPid::Lease
+            }
+            Some(ModelLease::Idle) => {
+                self.leases.insert(id, ModelLease::Busy);
+                ModelPid::Lease
+            }
+            Some(ModelLease::Busy | ModelLease::Pinned) => {
+                *allocated += 1;
+                ModelPid::Transient
+            }
+        }
+    }
+
+    fn release(&mut self, id: u64, pid: ModelPid) {
+        let Some(allocated) = self.allocated.get_mut(&id) else { return };
+        match pid {
+            ModelPid::Lease => {
+                self.leases.insert(id, ModelLease::Idle);
+            }
+            ModelPid::Transient => *allocated -= 1,
+        }
+    }
+
+    fn forget(&mut self, id: u64, pid: ModelPid) {
+        if let ModelPid::Lease = pid {
+            if self.allocated.contains_key(&id) {
+                self.leases.insert(id, ModelLease::Pinned);
+            }
+        }
+    }
+
+    fn thread_exit(&mut self) {
+        for (id, lease) in self.leases.drain() {
+            assert_ne!(lease, ModelLease::Busy, "a guard outlived its thread");
+            if let (ModelLease::Idle, Some(allocated)) = (lease, self.allocated.get_mut(&id)) {
+                *allocated -= 1;
+            }
+        }
+    }
+
+    fn check(&self, what: &str) {
+        for (id, lock) in &self.locks {
+            assert_eq!(
+                lock.registered(),
+                self.allocated[id],
+                "seed {:#x}: lock {id} after {what}",
+                self.seed
+            );
+        }
+    }
+
+    /// One random step on the current thread; `true` asks for a thread
+    /// exit (only at the outermost level, where no guard is open).
+    fn step(&mut self, rng: &mut SplitMix64, depth: usize) -> bool {
+        let pick = |m: &Self, rng: &mut SplitMix64| {
+            let (id, lock) = &m.locks[rng.gen_index(m.locks.len())];
+            (*id, Arc::clone(lock))
+        };
+        match rng.gen_index(9) {
+            0 | 1 if self.locks.len() < 6 => {
+                let id = self.next_id;
+                self.next_id += 1;
+                self.locks.push((id, Arc::new(LeasedLock::starvation_free(0, 64))));
+                self.allocated.insert(id, 0);
+                self.check("create");
+            }
+            2 if !self.locks.is_empty() => {
+                // The thread's entry for the dropped lock goes dead; a
+                // guard open in an outer step keeps the lock itself alive.
+                let (id, _) = self.locks.swap_remove(rng.gen_index(self.locks.len()));
+                self.allocated.remove(&id);
+                self.leases.remove(&id);
+                self.check("drop");
+            }
+            3 if !self.locks.is_empty() => {
+                let (id, lock) = pick(self, rng);
+                let pid = self.acquire(id);
+                let guard = lock.read();
+                self.check("read");
+                drop(guard);
+                self.release(id, pid);
+                self.check("read release");
+            }
+            4 if !self.locks.is_empty() => {
+                let (id, lock) = pick(self, rng);
+                let outer_pid = self.acquire(id);
+                let outer = lock.read();
+                let inner_pid = self.acquire(id);
+                let inner = lock.read();
+                self.check("nested read");
+                drop(inner);
+                self.release(id, inner_pid);
+                self.check("inner release");
+                drop(outer);
+                self.release(id, outer_pid);
+                self.check("outer release");
+            }
+            5 if !self.locks.is_empty() => {
+                let (id, lock) = pick(self, rng);
+                let pid = self.acquire(id);
+                std::mem::forget(lock.read());
+                self.forget(id, pid);
+                self.check("forget");
+            }
+            6 if !self.locks.is_empty() && depth < 3 => {
+                // Hold a guard across further steps, sweeps included.
+                let (id, lock) = pick(self, rng);
+                let pid = self.acquire(id);
+                let guard = lock.read();
+                self.check("hold");
+                for _ in 0..rng.gen_index(6) {
+                    self.step(rng, depth + 1);
+                }
+                drop(guard);
+                self.release(id, pid);
+                self.check("hold release");
+            }
+            7 => {
+                // Short-lived locks: enough dead entries to force sweeps.
+                for _ in 0..rng.gen_index(80) {
+                    let l = LeasedLock::starvation_free(0, 1);
+                    drop(l.read());
+                }
+                self.check("churn");
+            }
+            8 => return depth == 0,
+            _ => {}
+        }
+        false
+    }
+}
+
+/// Random single-thread sequences of create / drop / read / nested read
+/// / leaked guard / held guard / churn / thread exit, checked against the
+/// model after every step: each live lock's `registered()` must equal the
+/// pids the model says are out.
+#[test]
+fn pid_leases_match_reference_model() {
+    for seed in case_seeds(0x1ea5_e000) {
+        let mut rng = SplitMix64::new(seed);
+        let mut model = LeaseModel {
+            locks: Vec::new(),
+            allocated: HashMap::new(),
+            leases: HashMap::new(),
+            next_id: 0,
+            seed,
+        };
+        let mut steps = 120;
+        while steps > 0 {
+            // One thread's life: steps until it exits.
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    while steps > 0 {
+                        steps -= 1;
+                        if model.step(&mut rng, 0) {
+                            break;
+                        }
+                    }
+                })
+                .join()
+                .unwrap()
+            });
+            model.thread_exit();
+            model.check("thread exit");
         }
     }
 }

@@ -98,7 +98,7 @@
 //! [`RwLock`]: rmr_core::rwlock::RwLock
 //! [`WakerTable`]: crate::park::WakerTable
 
-use crate::park::{WaitKind, WakerTable};
+use crate::park::{WaitKind, WakeSet, WakerTable};
 use rmr_core::raw::{RawMultiWriter, RawParkedWaiters, RawRwLock, RawTryReadLock, RawTryRwLock};
 use rmr_core::registry::{Pid, PidRegistry};
 use rmr_mutex::mem::{Backend, Native, Ordering as MemOrdering, SharedWord};
@@ -151,7 +151,8 @@ pub struct AsyncRwLock<T: ?Sized, L, B: Backend = Native, R: Recorder = NoopReco
     writer_claim: CachePadded<B::Word>,
     /// Passages reported here; inert by default ([`AsyncRwLock::with_recorder`]).
     recorder: R,
-    /// `recorder.now()` at the latest wake scan — the subtrahend for
+    /// `recorder.now()` at the latest wake scan that found someone
+    /// parked — the subtrahend for
     /// [`Metric::WakeToGrantNs`]. A plain `std` atomic (never `B`-typed):
     /// recorder-private state must stay invisible to the `Counting`
     /// backend and the `Sched` explorer alike.
@@ -342,7 +343,7 @@ impl<T: ?Sized, L: RawRwLock, B: Backend, R: Recorder> AsyncRwLock<T, L, B, R> {
         // reader. The window is closed now, so re-poll any parked
         // readers; the common case is one load of a zero counter.
         if self.table.parked_readers() > 0 {
-            self.wake_scan(pid.index(), WakerTable::wake_readers);
+            self.wake_scan(pid.index(), WakeSet::Readers);
         }
         AsyncReadGuard { lock: self, pid, token: Some(token) }
     }
@@ -356,27 +357,32 @@ impl<T: ?Sized, L: RawRwLock, B: Backend, R: Recorder> AsyncRwLock<T, L, B, R> {
         AsyncWriteGuard { lock: self, pid, token: Some(token), claimed }
     }
 
-    /// Runs one wake scan, stamping [`Self::wake_ts`] first (so a woken
-    /// future can attribute its grant) and crediting the delivered
-    /// wake-ups to `pid`.
-    fn wake_scan(&self, pid: usize, scan: impl FnOnce(&WakerTable<B>) -> usize) {
-        if R::ENABLED {
-            self.wake_ts.store(self.recorder.now(), StdOrdering::Relaxed);
-        }
-        let woken = scan(&self.table);
+    /// Runs one wake scan over `set`, crediting the delivered wake-ups to
+    /// `pid`. A scan that gets past the table's skip checks stamps
+    /// [`Self::wake_ts`] before delivering (so a woken future can
+    /// attribute its grant); a release with nobody parked reads no clock.
+    fn wake_scan(&self, pid: usize, set: WakeSet) {
+        let woken = self.table.wake_with(set, || {
+            if R::ENABLED {
+                self.wake_ts.store(self.recorder.now(), StdOrdering::Relaxed);
+            }
+        });
         if R::ENABLED && woken > 0 {
             self.recorder.add(pid, Event::AsyncWake, woken as u64);
         }
     }
 
     /// Records one granted (future-completing) acquisition: the acquire
-    /// event, its latency since the future's first poll, and — when the
-    /// future had parked — the wake-to-grant latency.
-    fn grant_obs(&self, pid: usize, write: bool, t0: u64, parked: bool) {
-        let now = self.recorder.now();
+    /// event, its latency since the future's first poll when that poll
+    /// was stamped (`t0`, see [`Recorder::stamp`]), and — when the future
+    /// had parked — the wake-to-grant latency.
+    fn grant_obs(&self, pid: usize, write: bool, t0: Option<u64>, parked: bool) {
+        let now = if t0.is_some() || parked { self.recorder.now() } else { 0 };
         self.recorder.count(pid, if write { Event::WriteAcquire } else { Event::ReadAcquire });
-        let metric = if write { Metric::WriteAcquireNs } else { Metric::ReadAcquireNs };
-        self.recorder.record(pid, metric, now.saturating_sub(t0));
+        if let Some(t0) = t0 {
+            let metric = if write { Metric::WriteAcquireNs } else { Metric::ReadAcquireNs };
+            self.recorder.record(pid, metric, now.saturating_sub(t0));
+        }
         if parked {
             let woke = self.wake_ts.load(StdOrdering::Relaxed);
             self.recorder.record(pid, Metric::WakeToGrantNs, now.saturating_sub(woke));
@@ -397,7 +403,7 @@ impl<T: ?Sized, L: RawTryReadLock, B: Backend, R: Recorder> AsyncRwLock<T, L, B,
     /// The future's first poll panics if the lock's capacity is
     /// exhausted (more concurrent acquisitions than `max_processes()`).
     pub fn read(&self) -> AsyncRead<'_, T, L, B, R> {
-        AsyncRead { lock: self, pid: None, done: false, parked: false, t0: 0 }
+        AsyncRead { lock: self, pid: None, done: false, parked: false, t0: None }
     }
 
     /// Attempts to acquire the lock for reading without blocking or
@@ -447,7 +453,7 @@ impl<T: ?Sized, L: RawParkedWaiters, B: Backend, R: Recorder> AsyncRwLock<T, L, 
     /// let _ = lock.write(); // ERROR: MwmrStarvationFree is not RawParkedWaiters
     /// ```
     pub fn write(&self) -> AsyncWrite<'_, T, L, B, R> {
-        AsyncWrite { lock: self, pid: None, stage: WriteStage::Claiming, parked: false, t0: 0 }
+        AsyncWrite { lock: self, pid: None, stage: WriteStage::Claiming, parked: false, t0: None }
     }
 }
 
@@ -498,7 +504,8 @@ impl<T: ?Sized, L: RawMultiWriter, B: Backend, R: Recorder> AsyncRwLock<T, L, B,
     )]
     pub fn write_blocking(&self) -> AsyncWriteGuard<'_, T, L, B, R> {
         let pid = self.allocate_pid();
-        let t0 = if R::ENABLED { self.recorder.now() } else { 0 };
+        let t0 =
+            if R::ENABLED { self.recorder.stamp(pid.index(), Event::WriteAcquire) } else { None };
         let token = spin::with_park_hint(std::thread::yield_now, || self.raw.write_lock(pid));
         if R::ENABLED {
             self.grant_obs(pid.index(), true, t0, false);
@@ -537,8 +544,9 @@ pub struct AsyncRead<'l, T: ?Sized, L: RawRwLock, B: Backend, R: Recorder = Noop
     /// Whether this future ever returned `Pending` — a granted parked
     /// future records its wake-to-grant latency.
     parked: bool,
-    /// `recorder.now()` at the first poll (0 when inert).
-    t0: u64,
+    /// The recorder's [`stamp`](Recorder::stamp) at the first poll
+    /// (`None` when inert, or when this passage is counted but not timed).
+    t0: Option<u64>,
 }
 
 impl<'l, T: ?Sized, L: RawTryReadLock, B: Backend, R: Recorder> Future
@@ -553,10 +561,11 @@ impl<'l, T: ?Sized, L: RawTryReadLock, B: Backend, R: Recorder> Future
         let pid = match this.pid {
             Some(pid) => pid,
             None => {
+                let pid = *this.pid.insert(lock.allocate_pid());
                 if R::ENABLED {
-                    this.t0 = lock.recorder.now();
+                    this.t0 = lock.recorder.stamp(pid.index(), Event::ReadAcquire);
                 }
-                *this.pid.insert(lock.allocate_pid())
+                pid
             }
         };
         if let Some(token) = lock.raw.try_read_lock(pid) {
@@ -592,7 +601,7 @@ impl<'l, T: ?Sized, L: RawTryReadLock, B: Backend, R: Recorder> Future
         // or its SeqCst parked announce precedes its re-poll and this
         // SeqCst count check sees it.
         if lock.table.parked_writers() > 0 {
-            lock.wake_scan(pid.index(), WakerTable::wake_writers);
+            lock.wake_scan(pid.index(), WakeSet::Writers);
         }
         if R::ENABLED {
             lock.recorder.count(pid.index(), Event::AsyncPark);
@@ -649,8 +658,9 @@ pub struct AsyncWrite<'l, T: ?Sized, L: RawParkedWaiters, B: Backend, R: Recorde
     /// Whether this future ever returned `Pending` — a granted parked
     /// future records its wake-to-grant latency.
     parked: bool,
-    /// `recorder.now()` at the first poll (0 when inert).
-    t0: u64,
+    /// The recorder's [`stamp`](Recorder::stamp) at the first poll
+    /// (`None` when inert, or when this passage is counted but not timed).
+    t0: Option<u64>,
 }
 
 // The future owns the doorway by value and holds no self-references, so
@@ -685,10 +695,11 @@ impl<'l, T: ?Sized, L: RawParkedWaiters, B: Backend, R: Recorder> Future
         let pid = match this.pid {
             Some(pid) => pid,
             None => {
+                let pid = *this.pid.insert(lock.allocate_pid());
                 if R::ENABLED {
-                    this.t0 = lock.recorder.now();
+                    this.t0 = lock.recorder.stamp(pid.index(), Event::WriteAcquire);
                 }
-                *this.pid.insert(lock.allocate_pid())
+                pid
             }
         };
         if matches!(this.stage, WriteStage::Claiming) {
@@ -749,7 +760,7 @@ impl<T: ?Sized, L: RawParkedWaiters, B: Backend, R: Recorder> Drop for AsyncWrit
             }
             self.lock.release_doorway_claim();
             self.lock.table.deregister(pid.index());
-            self.lock.wake_scan(pid.index(), WakerTable::wake_all);
+            self.lock.wake_scan(pid.index(), WakeSet::All);
         } else {
             // Claiming stage: no lock state exists beyond the parked
             // waker and the pid lease.
@@ -821,7 +832,7 @@ impl<T: ?Sized, L: RawRwLock, B: Backend, R: Recorder> Drop for AsyncReadGuard<'
         // all — it must be ordered after the raw release above and
         // before the wake scan's skip checks (the AS-COUNT square).
         if self.lock.readers.fetch_sub(1, MemOrdering::SeqCst) == 1 {
-            self.lock.wake_scan(self.pid.index(), WakerTable::wake_all);
+            self.lock.wake_scan(self.pid.index(), WakeSet::All);
         } else if self.lock.table.parked_writers() > 0 {
             // Not the last reader, but a *tokened doorway* may already be
             // grantable: Figure 1's writer waits only for its previous
@@ -830,7 +841,7 @@ impl<T: ?Sized, L: RawRwLock, B: Backend, R: Recorder> Drop for AsyncReadGuard<'
             // hits zero. Re-poll parked writers on every reader exit
             // while any exist — the no-writer common case is this one
             // SeqCst load (site AS-COUNT).
-            self.lock.wake_scan(self.pid.index(), WakerTable::wake_writers);
+            self.lock.wake_scan(self.pid.index(), WakeSet::Writers);
         }
         self.lock.registry.release(self.pid);
     }
@@ -889,7 +900,7 @@ impl<T: ?Sized, L: RawRwLock, B: Backend, R: Recorder> Drop for AsyncWriteGuard<
         if self.claimed {
             self.lock.release_doorway_claim();
         }
-        self.lock.wake_scan(self.pid.index(), WakerTable::wake_all);
+        self.lock.wake_scan(self.pid.index(), WakeSet::All);
         self.lock.registry.release(self.pid);
     }
 }

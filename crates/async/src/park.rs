@@ -189,6 +189,17 @@ struct QueueEnds {
 unsafe impl<B: Backend> Sync for Slot<B> {}
 unsafe impl<B: Backend> Send for Slot<B> {}
 
+/// Which parked wakers a [`WakerTable::wake_with`] scan delivers.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum WakeSet {
+    /// Parked readers only.
+    Readers,
+    /// Parked writers only.
+    Writers,
+    /// Every parked waker.
+    All,
+}
+
 /// The cache-padded waker-slot table: one slot per pid, plus parked-side
 /// counters that let the release paths skip the scan entirely when nobody
 /// is waiting.
@@ -487,14 +498,7 @@ impl<B: Backend> WakerTable<B> {
     /// Delivers every parked *writer* waker. Returns the number of
     /// wake-ups delivered.
     pub fn wake_writers(&self) -> usize {
-        // Site AS-COUNT: the load half of the park-announce SB square —
-        // this skip check runs after the caller's raw release, and must
-        // not be reordered before it or a just-announced parker is
-        // stranded. SeqCst.
-        if self.parked_writers.load(MemOrdering::SeqCst) == 0 {
-            return 0;
-        }
-        self.wake_matching(false, true)
+        self.wake_with(WakeSet::Writers, || {})
     }
 
     /// Delivers every parked *reader* waker (the read-entry-completed
@@ -502,26 +506,41 @@ impl<B: Backend> WakerTable<B> {
     /// attempt fail has closed). Returns the number of wake-ups
     /// delivered.
     pub fn wake_readers(&self) -> usize {
-        // Site AS-COUNT: SeqCst skip check, as in `wake_writers`.
-        if self.parked_readers.load(MemOrdering::SeqCst) == 0 {
-            return 0;
-        }
-        self.wake_matching(true, false)
+        self.wake_with(WakeSet::Readers, || {})
     }
 
     /// Delivers every parked waker, reader and writer (the writer exit
     /// and last-reader exit paths). Returns the number of wake-ups
     /// delivered.
     pub fn wake_all(&self) -> usize {
-        // Site AS-WAKE-ALL: SeqCst skip checks, the AS-COUNT square as in
-        // `wake_writers`, tagged apart because both release paths' full
-        // wake-ups key off them (the `DropWakeup` fault reads them as 0).
-        if self.parked_readers.load_at(Site::AS_WAKE_ALL, MemOrdering::SeqCst) == 0
-            && self.parked_writers.load_at(Site::AS_WAKE_ALL, MemOrdering::SeqCst) == 0
-        {
+        self.wake_with(WakeSet::All, || {})
+    }
+
+    /// Delivers every parked waker in `set`, running `pre_wake` first —
+    /// but only on a scan that gets past the skip checks, so a release
+    /// with nobody parked pays for neither. Returns the number of
+    /// wake-ups delivered.
+    pub(crate) fn wake_with(&self, set: WakeSet, pre_wake: impl FnOnce()) -> usize {
+        let skip = match set {
+            // Site AS-COUNT: the load half of the park-announce SB square
+            // — this skip check runs after the caller's raw release, and
+            // must not be reordered before it or a just-announced parker
+            // is stranded. SeqCst.
+            WakeSet::Readers => self.parked_readers.load(MemOrdering::SeqCst) == 0,
+            WakeSet::Writers => self.parked_writers.load(MemOrdering::SeqCst) == 0,
+            // Site AS-WAKE-ALL: the same square, tagged apart because
+            // both release paths' full wake-ups key off it (the
+            // `DropWakeup` fault reads these loads as 0).
+            WakeSet::All => {
+                self.parked_readers.load_at(Site::AS_WAKE_ALL, MemOrdering::SeqCst) == 0
+                    && self.parked_writers.load_at(Site::AS_WAKE_ALL, MemOrdering::SeqCst) == 0
+            }
+        };
+        if skip {
             return 0;
         }
-        self.wake_matching(true, true)
+        pre_wake();
+        self.wake_matching(set != WakeSet::Writers, set != WakeSet::Readers)
     }
 
     fn wake_matching(&self, include_readers: bool, include_writers: bool) -> usize {

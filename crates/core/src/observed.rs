@@ -4,8 +4,10 @@
 //! This is the instrumentation story for code that works at the *raw*
 //! tier (benchmark probes, compositions like
 //! `Observed<Bravo<…>>`): wrap any [`RawRwLock`] and every acquire,
-//! release and bounded attempt is counted, classified
-//! contended-vs-uncontended, and latency-histogrammed — while the
+//! release and bounded attempt is counted and classified
+//! contended-vs-uncontended, and the acquisitions the recorder chooses to
+//! time ([`Recorder::stamp`]: 1 in [`rmr_obs::SAMPLE_PERIOD`] per pid for
+//! a `StatsRecorder`) are latency-histogrammed — while the
 //! wrapper forwards each optional capability exactly like `rmr-bravo`'s
 //! reference wrapper ([`RawTryReadLock`] where the inner lock has it,
 //! [`RawMultiWriter`] **only** where the inner lock is one, so the typed
@@ -38,30 +40,42 @@ use rmr_mutex::spin;
 use rmr_obs::{Event, Metric, Recorder};
 use std::fmt;
 
-/// Begin-of-acquisition sample: recorder clock + this thread's spin
+/// Begin-of-acquisition sample: the recorder's start stamp (`None` on a
+/// passage the recorder counts but does not time) + this thread's spin
 /// tally. Only taken when `R::ENABLED`.
 pub(crate) struct AcquireSample {
-    t0: u64,
+    t0: Option<u64>,
     spins0: u64,
 }
 
-/// Samples the clock and spin tally before a blocking acquisition.
-pub(crate) fn acquire_begin<R: Recorder>(rec: &R) -> AcquireSample {
-    AcquireSample { t0: rec.now(), spins0: spin::thread_spin_tally() }
+fn acquire_event(write: bool) -> Event {
+    if write {
+        Event::WriteAcquire
+    } else {
+        Event::ReadAcquire
+    }
+}
+
+/// Stamps (if the recorder samples this passage) and reads the spin
+/// tally before a blocking acquisition.
+pub(crate) fn acquire_begin<R: Recorder>(rec: &R, pid: usize, write: bool) -> AcquireSample {
+    AcquireSample { t0: rec.stamp(pid, acquire_event(write)), spins0: spin::thread_spin_tally() }
 }
 
 /// Records one completed blocking acquisition: the acquire event, the
 /// contended classification + spin count (when any iteration was
-/// futile), and the latency sample.
+/// futile), and — on a timed passage — the latency sample.
 pub(crate) fn acquire_end<R: Recorder>(rec: &R, pid: usize, write: bool, s: AcquireSample) {
     let spun = spin::thread_spin_tally().saturating_sub(s.spins0);
-    rec.count(pid, if write { Event::WriteAcquire } else { Event::ReadAcquire });
+    rec.count(pid, acquire_event(write));
     if spun > 0 {
         rec.count(pid, if write { Event::WriteContended } else { Event::ReadContended });
         rec.add(pid, Event::SpinSteps, spun);
     }
-    let metric = if write { Metric::WriteAcquireNs } else { Metric::ReadAcquireNs };
-    rec.record(pid, metric, rec.now().saturating_sub(s.t0));
+    if let Some(t0) = s.t0 {
+        let metric = if write { Metric::WriteAcquireNs } else { Metric::ReadAcquireNs };
+        rec.record(pid, metric, rec.now().saturating_sub(t0));
+    }
 }
 
 /// Any raw lock, with every passage reported to a [`Recorder`].
@@ -114,7 +128,7 @@ impl<L: RawRwLock, R: Recorder> RawRwLock for Observed<L, R> {
 
     fn read_lock(&self, pid: Pid) -> Self::ReadToken {
         if R::ENABLED {
-            let s = acquire_begin(&self.recorder);
+            let s = acquire_begin(&self.recorder, pid.index(), false);
             let token = self.inner.read_lock(pid);
             acquire_end(&self.recorder, pid.index(), false, s);
             token
@@ -132,7 +146,7 @@ impl<L: RawRwLock, R: Recorder> RawRwLock for Observed<L, R> {
 
     fn write_lock(&self, pid: Pid) -> Self::WriteToken {
         if R::ENABLED {
-            let s = acquire_begin(&self.recorder);
+            let s = acquire_begin(&self.recorder, pid.index(), true);
             let token = self.inner.write_lock(pid);
             acquire_end(&self.recorder, pid.index(), true, s);
             token
@@ -238,6 +252,10 @@ mod tests {
 
         fn now(&self) -> u64 {
             self.0.load(Ordering::Relaxed)
+        }
+
+        fn stamp(&self, _pid: usize, _event: Event) -> Option<u64> {
+            Some(self.0.load(Ordering::Relaxed))
         }
 
         fn add(&self, _pid: usize, _event: Event, n: u64) {

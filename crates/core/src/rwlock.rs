@@ -624,7 +624,7 @@ impl<T: ?Sized, L: RawRwLock, R: Recorder> RwLock<T, L, R> {
     /// const-folds to the bare `read_lock` call.
     fn locked_read(&self, pid: Pid) -> L::ReadToken {
         if R::ENABLED {
-            let s = acquire_begin(&self.recorder);
+            let s = acquire_begin(&self.recorder, pid.index(), false);
             let token = self.raw.read_lock(pid);
             acquire_end(&self.recorder, pid.index(), false, s);
             token
@@ -637,7 +637,7 @@ impl<T: ?Sized, L: RawRwLock, R: Recorder> RwLock<T, L, R> {
     /// see [`RwLock::locked_read`].
     fn locked_write(&self, pid: Pid) -> L::WriteToken {
         if R::ENABLED {
-            let s = acquire_begin(&self.recorder);
+            let s = acquire_begin(&self.recorder, pid.index(), true);
             let token = self.raw.write_lock(pid);
             acquire_end(&self.recorder, pid.index(), true, s);
             token

@@ -30,6 +30,15 @@
 //!   read with a `StatsRecorder` attached still performs zero inner-lock
 //!   operations and zero CC RMRs (the recorder slot is this pid's own
 //!   line; re-reads and writes of it are local in the CC model).
+//! * **Sampled timing** — every passage is *counted*, but acquisition
+//!   latency is *timed* only on 1 passage in [`SAMPLE_PERIOD`] per pid
+//!   and event ([`Recorder::stamp`]): a clock read costs more than the
+//!   rest of an uncontended passage. The choice keys off the pid's own
+//!   counter, so the first passage of each kind is always timed and,
+//!   under `Sched` with a [`TickClock`], which passages are timed is a
+//!   pure function of the schedule — traces still replay. The
+//!   `*AcquireNs` histograms therefore hold timed samples, not one
+//!   sample per passage ([`StatsRecorder::samples`]).
 //! * [`Clock`] — time as a capability: real monotonic nanoseconds under
 //!   `Native` ([`MonoClock`]), deterministic virtual time under `Sched`
 //!   ([`TickClock`]), so recorded traces are replayable and the
@@ -161,6 +170,11 @@ event_enum! {
     }
 }
 
+/// One acquisition in this many, per pid and acquire event, is timed by
+/// [`StatsRecorder`] (see [`Recorder::stamp`]). A power of two, so the
+/// test is a mask.
+pub const SAMPLE_PERIOD: u64 = 16;
+
 /// The instrumentation hook every tier is generic over.
 ///
 /// Implementations must be cheap and must never block: hook sites sit on
@@ -177,6 +191,15 @@ pub trait Recorder: Send + Sync {
 
     /// Current time in the recorder's clock units.
     fn now(&self) -> u64;
+
+    /// The start stamp of an acquisition that will count `event` for
+    /// `pid`: `Some(now())` if this passage is to be timed, `None` if it
+    /// is only counted. Hook sites record the matching `*AcquireNs`
+    /// sample only for `Some`.
+    ///
+    /// Deliberately required: a default of `Some(now())` would let a
+    /// forwarding impl silently time every passage.
+    fn stamp(&self, pid: usize, event: Event) -> Option<u64>;
 
     /// Adds `n` occurrences of `event` for `pid`.
     fn add(&self, pid: usize, event: Event, n: u64);
@@ -209,6 +232,11 @@ impl Recorder for NoopRecorder {
     }
 
     #[inline(always)]
+    fn stamp(&self, _pid: usize, _event: Event) -> Option<u64> {
+        None
+    }
+
+    #[inline(always)]
     fn add(&self, _pid: usize, _event: Event, _n: u64) {}
 
     #[inline(always)]
@@ -221,6 +249,11 @@ impl<R: Recorder> Recorder for &R {
     #[inline]
     fn now(&self) -> u64 {
         (**self).now()
+    }
+
+    #[inline]
+    fn stamp(&self, pid: usize, event: Event) -> Option<u64> {
+        (**self).stamp(pid, event)
     }
 
     #[inline]
@@ -240,6 +273,11 @@ impl<R: Recorder> Recorder for Arc<R> {
     #[inline]
     fn now(&self) -> u64 {
         (**self).now()
+    }
+
+    #[inline]
+    fn stamp(&self, pid: usize, event: Event) -> Option<u64> {
+        (**self).stamp(pid, event)
     }
 
     #[inline]
@@ -344,7 +382,10 @@ impl<C: Clock> StatsRecorder<C> {
         self.histogram(metric).quantile(q)
     }
 
-    /// Total samples of `metric` across all pids.
+    /// Total samples of `metric` across all pids. For the
+    /// `*AcquireNs` metrics this counts *timed* passages — 1 in
+    /// [`SAMPLE_PERIOD`] per pid ([`Recorder::stamp`]) — not passages;
+    /// [`StatsRecorder::counter`] of the acquire event counts those.
     pub fn samples(&self, metric: Metric) -> u64 {
         self.histogram(metric).count()
     }
@@ -373,6 +414,15 @@ impl<C: Clock> Recorder for StatsRecorder<C> {
     #[inline]
     fn now(&self) -> u64 {
         self.clock.now()
+    }
+
+    /// Times the passage iff `pid`'s count of `event` so far is a
+    /// multiple of [`SAMPLE_PERIOD`]: one `Relaxed` load of the pid's own
+    /// slot, and a clock read only on a timed passage.
+    #[inline]
+    fn stamp(&self, pid: usize, event: Event) -> Option<u64> {
+        let seen = self.slot(pid).counters[event as usize].load(Ordering::Relaxed);
+        seen.is_multiple_of(SAMPLE_PERIOD).then(|| self.clock.now())
     }
 
     #[inline]
@@ -412,6 +462,22 @@ mod tests {
         r.count(0, Event::ReadAcquire);
         r.record(0, Metric::ReadAcquireNs, 5);
         assert_eq!(r.now(), 0);
+        assert_eq!(r.stamp(0, Event::ReadAcquire), None);
+    }
+
+    #[test]
+    fn stamp_times_one_passage_in_sample_period_per_pid_and_event() {
+        let rec = StatsRecorder::with_clock(2, TickClock::new());
+        let mut timed = 0;
+        for _ in 0..3 * SAMPLE_PERIOD + 1 {
+            timed += u64::from(rec.stamp(0, Event::ReadAcquire).is_some());
+            rec.count(0, Event::ReadAcquire);
+        }
+        assert_eq!(timed, 4, "passages 0, P, 2P and 3P");
+        // Other pids and other events keep their own phase.
+        assert!(rec.stamp(1, Event::ReadAcquire).is_some());
+        assert!(rec.stamp(0, Event::WriteAcquire).is_some());
+        assert!(rec.stamp(0, Event::ReadAcquire).is_none());
     }
 
     #[test]

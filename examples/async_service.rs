@@ -81,10 +81,11 @@ fn main() {
     );
     println!("  mix        : {gets} GETs ({hits} hits), {puts} PUTs");
     println!(
-        "  writer     : acquire p99 ≤{} ns over {} awaited writes; wake-to-grant p99 ≤{} ns \
-         over {} parked grants",
+        "  writer     : acquire p99 ≤{} ns from {} timed of {} awaited writes; wake-to-grant \
+         p99 ≤{} ns over {} parked grants",
         rec.quantile(Metric::WriteAcquireNs, 0.99),
         rec.samples(Metric::WriteAcquireNs),
+        rec.counter(Event::WriteAcquire),
         rec.quantile(Metric::WakeToGrantNs, 0.99),
         rec.samples(Metric::WakeToGrantNs),
     );

@@ -103,9 +103,10 @@ fn main() {
         100.0 * h as f64 / total as f64,
     );
     println!(
-        "read acquire: p50 ≤{} ns, p99 ≤{} ns over {} passages ({} contended)",
+        "read acquire: p50 ≤{} ns, p99 ≤{} ns from {} timed of {} passages ({} contended)",
         rec.quantile(Metric::ReadAcquireNs, 0.50),
         rec.quantile(Metric::ReadAcquireNs, 0.99),
+        rec.samples(Metric::ReadAcquireNs),
         rec.counter(Event::ReadAcquire),
         rec.counter(Event::ReadContended),
     );

@@ -126,14 +126,15 @@ fn main() {
     }
 
     // The Bravo wrapper (rmr-bravo): wrapper state and inner lock both
-    // over `Sched`, small tables so collisions occur and the revocation
-    // scan stays cheap per schedule. Quiescence = table fully drained
-    // (plus the inner lock's own notion where one exists).
-    let bravo_cfg = BravoConfig { table_slots: 4, rebias_after: 2, initial_bias: true };
+    // over `Sched`, with the default policy. The table has one slot per
+    // pid, so inner locks are sized to the scenario's tasks and the
+    // revocation scan stays cheap per schedule. Quiescence = table fully
+    // drained (plus the inner lock's own notion where one exists).
+    let bravo_cfg = BravoConfig::default();
     {
         let big: &dyn Fn() -> Trial = &|| {
             let lock = Arc::new(Bravo::new_in(
-                rmr_baselines::TicketRwLock::new_in(8, Sched),
+                rmr_baselines::TicketRwLock::new_in(3, Sched),
                 bravo_cfg,
                 Sched,
             ));
@@ -142,8 +143,8 @@ fn main() {
         };
         let small: &dyn Fn() -> Trial = &|| {
             let lock = Arc::new(Bravo::new_in(
-                rmr_baselines::TicketRwLock::new_in(8, Sched),
-                BravoConfig { table_slots: 2, ..bravo_cfg },
+                rmr_baselines::TicketRwLock::new_in(2, Sched),
+                bravo_cfg,
                 Sched,
             ));
             let q = Arc::clone(&lock);
@@ -165,7 +166,7 @@ fn main() {
     {
         let big: &dyn Fn() -> Trial = &|| {
             let lock = Arc::new(Bravo::new_in(
-                rmr_baselines::TicketRwLock::new_in(8, Sched),
+                rmr_baselines::TicketRwLock::new_in(3, Sched),
                 bravo_cfg,
                 Sched,
             ));
@@ -358,7 +359,7 @@ fn main() {
     reports.extend(weak_rw!("fig4-mwmr-wp", MwmrWriterPriority::new_in(3, Sched)));
     reports.extend(weak_rw!(
         "bravo-ticket-rw",
-        Bravo::new_in(rmr_baselines::TicketRwLock::new_in(8, Sched), bravo_cfg, Sched)
+        Bravo::new_in(rmr_baselines::TicketRwLock::new_in(3, Sched), bravo_cfg, Sched)
     ));
     {
         let big: &dyn Fn() -> Trial = &|| {

@@ -8,9 +8,9 @@
 //! observation is that the reader path of an existing lock can be skipped
 //! entirely while the lock is **biased** toward readers: a reader instead
 //! publishes itself in a *distributed visible-readers table* (one slot per
-//! cache line, chosen by hashing the reader's pid), and a writer **revokes**
-//! the bias — flip the bias word off, then scan the table and wait for
-//! every published reader to drain — before entering its critical section.
+//! cache line), and a writer **revokes** the bias — flip the bias word
+//! off, then scan the table and wait for every published reader to drain
+//! — before entering its critical section.
 //!
 //! [`Bravo<L, B>`] packages that protocol as a wrapper implementing
 //! [`RawRwLock`] around any inner lock `L: RawRwLock`, so every consumer of
@@ -23,26 +23,32 @@
 //!
 //! # The protocol
 //!
-//! Shared state added by the wrapper: a bias flag `rbias`, a fixed-capacity
-//! table of cache-padded slots (`0` = empty, else `pid + 1`), and a
-//! slow-read counter for the re-bias policy.
+//! Shared state added by the wrapper: a bias flag `rbias`, a table of
+//! cache-padded slots, **one per pid** (`0` = empty, else `pid + 1`), and
+//! a slow-read counter for the re-bias policy. BRAVO hashes sparse thread
+//! ids into a shared table; pids here are dense and below
+//! `max_processes()`, so slot `pid` belongs to pid `pid` alone.
 //!
-//! * **Reader fast path.** If `rbias` is set, CAS the slot `hash(pid)` from
-//!   empty to `pid + 1`, then **re-check** `rbias`. Still set → the reader
+//! * **Reader fast path.** If `rbias` is set, store `pid + 1` into the
+//!   reader's own slot, then **re-check** `rbias`. Still set → the reader
 //!   is in (zero operations on the inner lock). Cleared → a revocation is
-//!   racing; retract the slot and fall back to the slow path. A CAS lost to
-//!   a hash collision also falls back. Fast unlock is one store (slot ←
-//!   empty) to the reader's *own* cache line.
+//!   racing; retract the slot and fall back to the slow path. The publish
+//!   is a plain store, not a CAS: `RawRwLock`'s contract gives a pid one
+//!   attempt at a time, so its slot is empty and nobody else writes it.
+//!   Fast unlock is one store (slot ← empty) to the same line.
 //! * **Reader slow path.** `inner.read_lock`, exactly as without the
 //!   wrapper, plus one counter bump for the re-bias policy.
 //! * **Writer.** `inner.write_lock` first; then, if `rbias` is set: clear
-//!   it and scan the table, waiting for each published slot to drain.
+//!   it and scan the n slots, waiting for each published one to drain.
 //!   Writer unlock is a pure pass-through.
 //! * **Re-bias.** Revocation leaves the bias off (readers go through `L`
-//!   again). After `rebias_after` slow reads, the slow path switches the
-//!   bias back on. The policy is a deterministic counter — **time-free by
-//!   design**, unlike the original BRAVO's timestamp inhibition — so
-//!   schedules under the `Sched` backend replay bit-for-bit.
+//!   again). After `rebias_after` slow reads (default 2), the slow path
+//!   switches the bias back on. BRAVO sizes its re-bias inhibition to what
+//!   a revocation costs; here a revocation scans n lines, so the window is
+//!   a couple of slow passages. The policy is a deterministic counter —
+//!   **time-free by design**, unlike the original BRAVO's timestamp
+//!   inhibition — so schedules under the `Sched` backend replay
+//!   bit-for-bit.
 //!
 //! # Why revocation preserves exclusion
 //!
@@ -50,7 +56,7 @@
 //! no fast reader inside its read session while the writer is in the CS.
 //! The writer's order is *clear `rbias`, then scan*; the reader's order is
 //! *publish, then re-check `rbias`*. The four accesses that carry this
-//! argument — the reader's publish CAS and bias re-check, the writer's
+//! argument — the reader's publish store and bias re-check, the writer's
 //! bias clear and slot scan — are `SeqCst` (sites BR-PUB, BR-RECHECK,
 //! BR-CLEAR, BR-SCAN in DESIGN.md §13), so in the single total order
 //! either the reader's re-check precedes the writer's clear — then the
@@ -62,19 +68,21 @@
 //! access — bias pre-checks, the re-bias store, retract, counters — is
 //! deliberately weaker, with the justification written at each site; the
 //! `Sched` backend's `StoreBuffer` mode re-checks the whole protocol
-//! under store reordering, and the `DemoteBiasClear` fault in
-//! `rmr-check` proves a demoted bias clear would be caught.
+//! under store reordering, and the `DemoteBiasClear` and `DemotePublish`
+//! faults in `rmr-check` prove that demoting either store half of the
+//! square would be caught.
 //!
 //! # RMR cost — an honest accounting
 //!
 //! Readers get cheaper: in the biased steady state a read passage performs
 //! **zero** operations on the inner lock and only own-cache-line traffic on
 //! the table (the CC model charges nothing for a sole-holder update).
-//! Writers pay: a revoking writer's scan is **O(table size)** RMRs on top
-//! of the inner lock's cost — the wrapper deliberately trades the paper's
-//! per-writer O(1) bound for reader throughput, which is the right trade
-//! only for read-mostly traffic. The `hot-bravo` workload of `perfbench`
-//! measures both sides.
+//! Writers pay: a revoking writer's scan is **O(n)** RMRs, one per pid, on
+//! top of the inner lock's cost — the wrapper deliberately trades the
+//! paper's per-writer O(1) bound for reader throughput, which is the right
+//! trade only for read-mostly traffic. A write-heavy mix revokes on nearly
+//! every write, since two slow reads restore the bias. The `hot-bravo`
+//! workload of `perfbench` measures both sides.
 //!
 //! # Example
 //!
@@ -115,9 +123,6 @@ use std::fmt;
 /// An empty visible-readers slot; published slots hold `pid + 1`.
 const EMPTY: u64 = 0;
 
-/// Fibonacci-hash multiplier for spreading pids over the table.
-const HASH_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
-
 /// Configuration of the wrapper's table and re-bias policy.
 ///
 /// # Example
@@ -125,21 +130,29 @@ const HASH_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
 /// ```
 /// use rmr_bravo::{Bravo, BravoConfig};
 /// use rmr_baselines::TicketRwLock;
+/// use rmr_core::raw::RawRwLock;
+/// use rmr_core::swmr::SwmrWriterPriority;
 ///
+/// // A bounded inner lock sizes the table: one slot per pid.
+/// let lock = Bravo::with_config(TicketRwLock::new(4), BravoConfig::default());
+/// assert_eq!(lock.table_slots(), 4);
+/// // An unbounded one takes `table_slots`, which also caps the pids.
 /// let cfg = BravoConfig { table_slots: 8, rebias_after: 4, ..BravoConfig::default() };
-/// let lock = Bravo::with_config(TicketRwLock::new(4), cfg);
-/// assert_eq!(lock.table_slots(), 8);
+/// let lock = Bravo::with_config(SwmrWriterPriority::new(), cfg);
+/// assert_eq!((lock.table_slots(), lock.max_processes()), (8, 8));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BravoConfig {
-    /// Visible-readers slots (rounded up to a power of two, min 1). More
-    /// slots mean fewer hash collisions (collisions fall back to the slow
-    /// path) but a longer revocation scan for writers.
+    /// Visible-readers slots (min 1), and so the pid bound, for an inner
+    /// lock that reports none (`max_processes() == usize::MAX`: the SWMR
+    /// locks). A bounded inner lock gets one slot per pid instead.
     pub table_slots: usize,
     /// Slow reads after a revocation before the bias switches back on;
     /// `0` disables re-biasing (one revocation turns the wrapper off for
     /// good). Deliberately a counter, not a clock: the policy must be
-    /// deterministic under the `Sched` backend.
+    /// deterministic under the `Sched` backend. The default, 2, is sized
+    /// to an n-line revocation and is what the `rmr-check` batteries
+    /// explore.
     pub rebias_after: u32,
     /// Whether the lock starts biased toward readers.
     pub initial_bias: bool,
@@ -147,7 +160,7 @@ pub struct BravoConfig {
 
 impl Default for BravoConfig {
     fn default() -> Self {
-        Self { table_slots: 64, rebias_after: 64, initial_bias: true }
+        Self { table_slots: 64, rebias_after: 2, initial_bias: true }
     }
 }
 
@@ -230,7 +243,10 @@ impl<L: RawRwLock, B: Backend> Bravo<L, B> {
     /// lets a `Counting` inner lock prove the fast path performs zero
     /// operations on it.
     pub fn new_in(inner: L, config: BravoConfig, _backend: B) -> Self {
-        let slots = config.table_slots.max(1).next_power_of_two();
+        let slots = match inner.max_processes() {
+            usize::MAX => config.table_slots.max(1),
+            n => n,
+        };
         Self {
             inner,
             recorder: NoopRecorder,
@@ -269,7 +285,7 @@ impl<L: RawRwLock, B: Backend, R: Recorder> Bravo<L, B, R> {
         &self.inner
     }
 
-    /// Number of visible-readers slots (a power of two).
+    /// Number of visible-readers slots: one per pid.
     pub fn table_slots(&self) -> usize {
         self.slots.len()
     }
@@ -292,10 +308,9 @@ impl<L: RawRwLock, B: Backend, R: Recorder> Bravo<L, B, R> {
         self.slots.iter().filter(|s| s.load(MemOrdering::Relaxed) != EMPTY).count()
     }
 
-    /// The table slot `pid` hashes to (exposed so tests and the bench
-    /// verifier can reason about collisions).
+    /// The table slot `pid` owns: its own index.
     pub fn slot_index(&self, pid: Pid) -> usize {
-        ((pid.index() as u64).wrapping_mul(HASH_MUL) >> 33) as usize & (self.slots.len() - 1)
+        pid.index()
     }
 
     /// Checker entry point: the visible-readers table has fully drained.
@@ -307,8 +322,8 @@ impl<L: RawRwLock, B: Backend, R: Recorder> Bravo<L, B, R> {
     }
 
     /// Attempts the biased fast path. `Some(slot)` means the caller is in
-    /// (published + bias re-checked); `None` means bias off, collision, or
-    /// a racing revocation — take the slow path.
+    /// (published + bias re-checked); `None` means bias off or a racing
+    /// revocation — take the slow path.
     fn try_fast_read(&self, pid: Pid) -> Option<usize> {
         // Relaxed pre-check: purely an optimization hint. A stale `true`
         // is corrected by the SeqCst re-check below; a stale `false` only
@@ -319,19 +334,10 @@ impl<L: RawRwLock, B: Backend, R: Recorder> Bravo<L, B, R> {
         let slot = self.slot_index(pid);
         // Site BR-PUB (DESIGN.md §13): the publish half of the
         // publish-then-re-check SB square — SeqCst so it cannot be
-        // reordered after the re-check. Failure is a pure backoff, so
-        // Relaxed there.
-        if self.slots[slot]
-            .compare_exchange(
-                EMPTY,
-                pid.index() as u64 + 1,
-                MemOrdering::SeqCst,
-                MemOrdering::Relaxed,
-            )
-            .is_err()
-        {
-            return None; // hash collision: someone else is published here
-        }
+        // reordered after the re-check (`DemotePublish` in `rmr-check`).
+        // A store, not a CAS: the slot is this pid's alone, and a pid
+        // makes one attempt at a time, so it is empty here.
+        self.slots[slot].store_at(Site::BR_PUB, pid.index() as u64 + 1, MemOrdering::SeqCst);
         // Site BR-RECHECK: the linchpin re-check — a revoking writer
         // clears the bias before scanning, so either this SeqCst load
         // still sees the bias (and the scan will see our published slot),
@@ -444,8 +450,9 @@ impl<L: RawRwLock, B: Backend, R: Recorder> RawRwLock for Bravo<L, B, R> {
         self.inner.write_unlock(pid, token);
     }
 
+    /// The inner lock's bound, capped by the table: every pid owns a slot.
     fn max_processes(&self) -> usize {
-        self.inner.max_processes()
+        self.inner.max_processes().min(self.slots.len())
     }
 }
 
@@ -480,7 +487,7 @@ impl<L: RawTryRwLock, B: Backend, R: Recorder> RawTryRwLock for Bravo<L, B, R> {
     /// revocation — clear the bias and scan the table once, without
     /// waiting. An all-empty scan proves no fast reader can be inside
     /// (same SeqCst argument as the blocking revocation), so the attempt
-    /// succeeds and stays bounded by the table size. Any published slot
+    /// succeeds and stays bounded by the n slots. Any published slot
     /// fails the attempt, and the failure path **restores the bias it
     /// cleared**: `revoke` keys its scan off the bias word, so leaving it
     /// cleared with readers still published would let a later *blocking*
@@ -673,18 +680,26 @@ mod tests {
     }
 
     #[test]
-    fn collision_falls_back_to_the_slow_path() {
-        // One slot: every pid hashes to it, so a second concurrent reader
-        // must go through the inner lock.
+    fn table_is_one_slot_per_pid() {
+        // Bounded inner lock: its bound sizes the table, whatever the
+        // config says, and every pid reads fast in its own slot at once.
         let cfg = BravoConfig { table_slots: 1, ..BravoConfig::default() };
-        let lock = Bravo::with_config(TicketRwLock::new(4), cfg);
-        let a = lock.read_lock(pid(0));
-        let b = lock.read_lock(pid(1));
-        assert!(a.is_fast());
-        assert!(!b.is_fast(), "colliding reader must not share the slot");
-        lock.read_unlock(pid(1), b);
-        lock.read_unlock(pid(0), a);
+        let lock = Bravo::with_config(TicketRwLock::new(3), cfg);
+        assert_eq!((lock.table_slots(), lock.max_processes()), (3, 3));
+        let tokens: Vec<_> = (0..3).map(|i| (i, lock.read_lock(pid(i)))).collect();
+        for (i, t) in tokens {
+            assert!(t.is_fast(), "pid {i} fell off the fast path");
+            assert_eq!(lock.slot_index(pid(i)), i);
+            lock.read_unlock(pid(i), t);
+        }
         assert!(lock.is_quiescent());
+        // Unbounded inner lock: `table_slots` sizes the table and caps
+        // `max_processes`.
+        let lock = Bravo::new(SwmrWriterPriority::new());
+        assert_eq!((lock.table_slots(), lock.max_processes()), (64, 64));
+        let cfg = BravoConfig { table_slots: 0, ..BravoConfig::default() };
+        let lock = Bravo::with_config(SwmrWriterPriority::new(), cfg);
+        assert_eq!((lock.table_slots(), lock.max_processes()), (1, 1));
     }
 
     #[test]
@@ -739,6 +754,19 @@ mod tests {
         let t = lock.read_lock(pid(1));
         assert!(t.is_fast());
         lock.read_unlock(pid(1), t);
+    }
+
+    #[test]
+    fn default_policy_rebiases_after_two_slow_reads() {
+        let lock = Bravo::new(TicketRwLock::new(2));
+        let () = lock.write_lock(pid(0));
+        lock.write_unlock(pid(0), ());
+        for fast in [false, false, true] {
+            let t = lock.read_lock(pid(1));
+            assert_eq!(t.is_fast(), fast);
+            lock.read_unlock(pid(1), t);
+        }
+        assert_eq!(lock.revocations(), 1);
     }
 
     #[test]
@@ -816,35 +844,6 @@ mod tests {
         assert!(lock.is_quiescent());
     }
 
-    #[test]
-    fn table_slots_round_up_to_powers_of_two() {
-        let cfg = BravoConfig { table_slots: 5, ..BravoConfig::default() };
-        let lock = Bravo::with_config(TicketRwLock::new(4), cfg);
-        assert_eq!(lock.table_slots(), 8);
-        let cfg = BravoConfig { table_slots: 0, ..BravoConfig::default() };
-        let lock = Bravo::with_config(TicketRwLock::new(4), cfg);
-        assert_eq!(lock.table_slots(), 1);
-        // slot_index stays in range even for the 1-slot table.
-        assert_eq!(lock.slot_index(pid(7)), 0);
-    }
-
-    /// Smallest table (from 64 slots up) on which pids `0..readers` hash
-    /// to distinct slots, so every biased passage is guaranteed the fast
-    /// path.
-    fn injective_table_slots(readers: usize) -> usize {
-        let mut slots = 64;
-        loop {
-            let cfg = BravoConfig { table_slots: slots, ..BravoConfig::default() };
-            let probe = Bravo::with_config(TicketRwLock::new(1), cfg);
-            let mut seen = std::collections::HashSet::new();
-            if (0..readers).all(|i| seen.insert(probe.slot_index(pid(i)))) {
-                return slots;
-            }
-            slots *= 2;
-            assert!(slots <= 1 << 16, "no injective table for {readers} pids");
-        }
-    }
-
     /// `readers` threads run `passages` biased read passages each, after
     /// one warm-up passage, over a wrapper whose inner lock alone is on
     /// `Counting`: every passage must take the fast path and perform zero
@@ -857,9 +856,7 @@ mod tests {
     where
         L: RawRwLock + Send + Sync + 'static,
     {
-        let cfg =
-            BravoConfig { table_slots: injective_table_slots(readers), ..BravoConfig::default() };
-        let lock = Arc::new(Bravo::new_in(inner, cfg, Native));
+        let lock = Arc::new(Bravo::new_in(inner, BravoConfig::default(), Native));
         let barrier = Arc::new(std::sync::Barrier::new(readers));
         let threads: Vec<_> = (0..readers)
             .map(|i| {
@@ -875,10 +872,7 @@ mod tests {
                     for _ in 0..passages {
                         mem::reset_thread_tally();
                         let t = lock.read_lock(pid(i));
-                        assert!(
-                            t.is_fast(),
-                            "pid {i} fell off the fast path on an injective table"
-                        );
+                        assert!(t.is_fast(), "pid {i} fell off the fast path");
                         lock.read_unlock(pid(i), t);
                         let tally = mem::thread_tally();
                         assert_eq!(
@@ -1013,7 +1007,7 @@ mod tests {
         // churns: the protected pair must never tear.
         let lock = Arc::new(Bravo::with_config(
             TicketRwLock::new(8),
-            BravoConfig { table_slots: 8, rebias_after: 4, initial_bias: true },
+            BravoConfig { rebias_after: 4, ..BravoConfig::default() },
         ));
         let cell = Arc::new(std::sync::atomic::AtomicU64::new(0));
         let mut threads = Vec::new();

@@ -105,7 +105,7 @@ fn async_over_bravo_randomized() {
             (),
             Bravo::new_in(
                 rmr_baselines::TicketRwLock::new_in(8, Sched),
-                BravoConfig { table_slots: 4, rebias_after: 2, initial_bias: true },
+                BravoConfig::default(),
                 Sched,
             ),
             8,

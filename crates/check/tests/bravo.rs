@@ -4,11 +4,11 @@
 //! `Sched` backend — wrapper state (bias word, visible-readers table,
 //! re-bias counter) **and** inner lock both scheduled, so the protocol's
 //! races are explored at the same atomicity as the core locks: a reader's
-//! publish/re-check against a writer's clear/scan, collisions falling back
-//! to the slow path, the counter re-bias firing between revocations, and
-//! the one-shot bounded revocation of the try-write tier. Tables are kept
-//! tiny (1–4 slots) so the writer's revocation scan stays cheap per
-//! schedule and collisions actually occur.
+//! publish/re-check against a writer's clear/scan, every pid published at
+//! once, the counter re-bias firing between revocations, and the one-shot
+//! bounded revocation of the try-write tier. The table has one slot per
+//! pid, so each inner lock is sized to its scenario's task count and the
+//! writer's revocation scan stays a few slots per schedule.
 
 use rmr_bravo::{Bravo, BravoConfig};
 use rmr_check::exhaustive;
@@ -33,15 +33,12 @@ fn assert_randomized(label: &str, mk: impl Fn() -> Trial) {
     }
 }
 
-/// Bravo over the ticket baseline, both over `Sched`; default-ish policy
-/// with a table larger than the pid population (fast paths dominate).
-fn bravo_ticket(
-    table_slots: usize,
-    rebias_after: u32,
-) -> Arc<Bravo<rmr_baselines::TicketRwLock<Sched>, Sched>> {
+/// Bravo over the ticket baseline for `tasks` pids, both over `Sched`,
+/// with the shipped default policy.
+fn bravo_ticket(tasks: usize) -> Arc<Bravo<rmr_baselines::TicketRwLock<Sched>, Sched>> {
     Arc::new(Bravo::new_in(
-        rmr_baselines::TicketRwLock::new_in(8, Sched),
-        BravoConfig { table_slots, rebias_after, initial_bias: true },
+        rmr_baselines::TicketRwLock::new_in(tasks, Sched),
+        BravoConfig::default(),
         Sched,
     ))
 }
@@ -49,7 +46,7 @@ fn bravo_ticket(
 #[test]
 fn bravo_over_ticket_randomized() {
     assert_randomized("bravo-ticket-rw", || {
-        let lock = bravo_ticket(4, 2);
+        let lock = bravo_ticket(3);
         let q = Arc::clone(&lock);
         rw_trial(lock, Scenario::new(2, 1, 2), move || q.is_quiescent())
     });
@@ -60,7 +57,7 @@ fn bravo_over_ticket_exhaustive() {
     let report = exhaustive(
         "bravo-ticket-rw",
         || {
-            let lock = bravo_ticket(2, 2);
+            let lock = bravo_ticket(2);
             let q = Arc::clone(&lock);
             rw_trial(lock, Scenario::new(1, 1, 1), move || q.is_quiescent())
         },
@@ -72,16 +69,50 @@ fn bravo_over_ticket_exhaustive() {
     assert!(report.schedules > 10, "suspiciously small schedule tree: {report}");
 }
 
+/// Every pid reads at once while a writer revokes: pids 0–2 only read,
+/// and pid 3 reads, then writes, on each attempt. All four slots can be
+/// published together, and the revocation scans each, the writer's own
+/// included. The oracle settles against `Scenario::new(4, 1, attempts)`:
+/// four pids' worth of reads, one pid's worth of writes.
+fn all_pids_trial(attempts: u32) -> Trial {
+    let lock = bravo_ticket(4);
+    let oracle = Arc::new(RwOracle::new());
+    let scenario = Scenario::new(4, 1, attempts);
+    let tasks: Vec<TaskBody> = (0..4)
+        .map(|i| {
+            let lock = Arc::clone(&lock);
+            let oracle = Arc::clone(&oracle);
+            Box::new(move || {
+                let pid = Pid::from_index(i);
+                for _ in 0..attempts {
+                    let t = lock.read_lock(pid);
+                    oracle.reader_cs();
+                    lock.read_unlock(pid, t);
+                    if i == 3 {
+                        let () = lock.write_lock(pid);
+                        oracle.writer_cs();
+                        lock.write_unlock(pid, ());
+                    }
+                }
+            }) as TaskBody
+        })
+        .collect();
+    let q = Arc::clone(&lock);
+    Trial {
+        tasks,
+        post: Box::new(move || {
+            oracle.settle(&scenario)?;
+            if !q.is_quiescent() {
+                return Err("visible-readers table did not drain".into());
+            }
+            Ok(())
+        }),
+    }
+}
+
 #[test]
-fn bravo_single_slot_collisions_randomized() {
-    // A 1-slot table makes every concurrent second reader collide, so the
-    // slow path, the re-bias counter and the fast path all run in one
-    // scenario.
-    assert_randomized("bravo-collide", || {
-        let lock = bravo_ticket(1, 1);
-        let q = Arc::clone(&lock);
-        rw_trial(lock, Scenario::new(2, 1, 2), move || q.is_quiescent())
-    });
+fn bravo_all_pids_concurrent_randomized() {
+    assert_randomized("bravo-all-pids", || all_pids_trial(2));
 }
 
 #[test]
@@ -91,7 +122,7 @@ fn bravo_over_core_lock_randomized() {
     assert_randomized("bravo-fig3-sf", || {
         let lock = Arc::new(Bravo::new_in(
             MwmrStarvationFree::new_in(3, Sched),
-            BravoConfig { table_slots: 4, rebias_after: 2, initial_bias: true },
+            BravoConfig::default(),
             Sched,
         ));
         let q = Arc::clone(&lock);
@@ -104,7 +135,7 @@ fn bravo_try_read_tier_randomized() {
     // Readers through `try_read_lock`: fast-path attempts race the
     // writer's revocation; aborts must account cleanly.
     assert_randomized("bravo-try-read", || {
-        let lock = bravo_ticket(4, 2);
+        let lock = bravo_ticket(3);
         let q = Arc::clone(&lock);
         try_read_trial(lock, Scenario::new(2, 1, 2), move || q.is_quiescent())
     });
@@ -115,7 +146,7 @@ fn bravo_try_write_tier_randomized() {
     // Writers through the one-shot bounded revocation (`try_write_lock`):
     // a published fast reader must fail the attempt, never block it.
     assert_randomized("bravo-try-rw", || {
-        let lock = bravo_ticket(4, 2);
+        let lock = bravo_ticket(3);
         let q = Arc::clone(&lock);
         try_rw_trial(lock, Scenario::new(2, 1, 2), move || q.is_quiescent())
     });
@@ -127,8 +158,8 @@ fn bravo_try_write_tier_randomized() {
 /// `try_write_lock` clears the bias to scan, and if it left it cleared
 /// with the reader still published, the blocking writer's revocation
 /// would skip its scan and walk into the read session (P1).
-fn mixed_writer_tiers_trial(table_slots: usize, attempts: u32) -> Trial {
-    let lock = bravo_ticket(table_slots, 2);
+fn mixed_writer_tiers_trial(attempts: u32) -> Trial {
+    let lock = bravo_ticket(3);
     let oracle = Arc::new(RwOracle::new());
     let scenario = Scenario::new(1, 2, attempts).with_try_writers();
     let mut tasks: Vec<TaskBody> = Vec::new();
@@ -187,7 +218,7 @@ fn mixed_writer_tiers_trial(table_slots: usize, attempts: u32) -> Trial {
 
 #[test]
 fn bravo_mixed_writer_tiers_randomized() {
-    assert_randomized("bravo-mixed-writers", || mixed_writer_tiers_trial(4, 2));
+    assert_randomized("bravo-mixed-writers", || mixed_writer_tiers_trial(2));
 }
 
 #[test]
@@ -196,7 +227,7 @@ fn bravo_mixed_writer_tiers_exhaustive() {
     // reaches the failed-try-then-blocking-write window that randomized
     // walks can miss (verified to catch the historical desync bug).
     let report =
-        exhaustive("bravo-mixed-writers", || mixed_writer_tiers_trial(2, 1), 2, BUDGET, DFS_CAP);
+        exhaustive("bravo-mixed-writers", || mixed_writer_tiers_trial(1), 2, BUDGET, DFS_CAP);
     assert!(report.passed(), "{report}");
     assert!(report.schedules > 10, "suspiciously small schedule tree: {report}");
 }

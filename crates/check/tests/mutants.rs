@@ -127,11 +127,11 @@ fn flags_trial(scenario: Scenario) -> Trial {
 }
 
 fn bravo_trial(scenario: Scenario) -> Trial {
-    // 2 table slots, re-bias after 2 slow reads: revocation, collision and
-    // re-bias all reachable within small scenarios.
+    // One slot per task, re-bias after 2 slow reads (the default policy):
+    // revocation and re-bias both reachable within small scenarios.
     let lock = Arc::new(Bravo::new_in(
         TicketRwLock::new_in(scenario.tasks(), Sched),
-        BravoConfig { table_slots: 2, rebias_after: 2, initial_bias: true },
+        BravoConfig::default(),
         Sched,
     ));
     let q = Arc::clone(&lock);
@@ -467,6 +467,11 @@ fn demote_bias_clear() -> FaultGuard {
     fault(Site::BR_CLEAR, FaultKind::Order(Ordering::Release))
 }
 
+/// `DemotePublish`: a Bravo fast reader's slot publish, SeqCst → Release.
+fn demote_publish() -> FaultGuard {
+    fault(Site::BR_PUB, FaultKind::Order(Ordering::Release))
+}
+
 #[test]
 fn flags_control_passes_the_weak_budgets() {
     assert_control_passes("flags-control", || flags_trial(Scenario::new(2, 1, 2)));
@@ -493,6 +498,10 @@ fn sc_cannot_see_the_ordering_mutants() {
     {
         let _fault = demote_bias_clear();
         assert_control_passes("bravo-demote-sc", || bravo_trial(Scenario::new(2, 1, 2)));
+    }
+    {
+        let _fault = demote_publish();
+        assert_control_passes("bravo-demote-publish-sc", || bravo_trial(Scenario::new(2, 1, 2)));
     }
     assert_control_passes("swap-demote-sc", || {
         swap_mutant_trial(Mutation::DemotePublishEpoch, 2, 2, 2)
@@ -523,6 +532,21 @@ fn bravo_demote_bias_clear_is_caught_under_the_weak_model() {
     let _fault = demote_bias_clear();
     assert_caught_weak(
         "bravo-demote-bias-clear",
+        || bravo_trial(Scenario::new(2, 1, 2)),
+        || bravo_trial(Scenario::new(1, 1, 1)),
+        &["P1 violated", "torn read"],
+    );
+}
+
+#[test]
+fn bravo_demote_publish_is_caught_under_the_weak_model() {
+    // Site BR-PUB: the fast reader's publish sits buffered while its
+    // SeqCst re-check (a plain load, no drain) still sees the bias up.
+    // The revoking writer clears the bias, scans an empty slot and
+    // enters: reader and writer overlap in the critical section.
+    let _fault = demote_publish();
+    assert_caught_weak(
+        "bravo-demote-publish",
         || bravo_trial(Scenario::new(2, 1, 2)),
         || bravo_trial(Scenario::new(1, 1, 1)),
         &["P1 violated", "torn read"],

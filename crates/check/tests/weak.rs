@@ -174,10 +174,12 @@ fn baseline_ticket_rw_weak() {
 
 #[test]
 fn bravo_weak() {
-    let cfg = BravoConfig { table_slots: 4, rebias_after: 2, initial_bias: true };
-    assert_weak("bravo-ticket-rw", move || {
-        let lock =
-            Arc::new(Bravo::new_in(rmr_baselines::TicketRwLock::new_in(8, Sched), cfg, Sched));
+    assert_weak("bravo-ticket-rw", || {
+        let lock = Arc::new(Bravo::new_in(
+            rmr_baselines::TicketRwLock::new_in(3, Sched),
+            BravoConfig::default(),
+            Sched,
+        ));
         let q = Arc::clone(&lock);
         rw_trial(lock, Scenario::new(2, 1, 2), move || q.is_quiescent())
     });

@@ -148,6 +148,8 @@ impl Site {
     pub const MX_ANDERSON_RESET: Site = Site("MX-ANDERSON-RESET");
     /// The distributed-flags baseline: a reader's flag raise.
     pub const BL_FLAGS_RAISE: Site = Site("BL-FLAGS-RAISE");
+    /// Bravo: a fast reader's publish into its own visible-readers slot.
+    pub const BR_PUB: Site = Site("BR-PUB");
     /// Bravo: the revoking writer's bias clear (all three variants).
     pub const BR_CLEAR: Site = Site("BR-CLEAR");
     /// Bravo: the revoking writer's visible-readers scan (all three
@@ -283,6 +285,13 @@ pub trait SharedWord: Send + Sync + 'static {
     #[inline]
     fn load_at(&self, _site: Site, order: Ordering) -> u64 {
         self.load(order)
+    }
+
+    /// [`store`](Self::store) at a fault [`Site`]; only `Sched` reads the
+    /// site.
+    #[inline]
+    fn store_at(&self, _site: Site, value: u64, order: Ordering) {
+        self.store(value, order);
     }
 }
 
@@ -778,6 +787,7 @@ mod tests {
             assert!(b.swap(false, Acquire));
             let w = CountingWord::new(4);
             assert_eq!(w.load(SeqCst), 4);
+            w.store(5, SeqCst);
         });
         let sited = tally_of(2, || {
             let b = CountingBool::new(false);
@@ -785,6 +795,7 @@ mod tests {
             assert!(b.swap_at(Site::MX_TTAS, false, Acquire));
             let w = CountingWord::new(4);
             assert_eq!(w.load_at(Site::BR_SCAN, SeqCst), 4);
+            w.store_at(Site::BR_PUB, 5, SeqCst);
         });
         assert_eq!(plain, sited);
 

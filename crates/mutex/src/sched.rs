@@ -480,6 +480,14 @@ impl SharedWord for SchedWord {
             _ => v,
         }
     }
+
+    fn store_at(&self, site: Site, value: u64, order: Ordering) {
+        match fault_at(site) {
+            Some(FaultKind::Skip) => {}
+            Some(FaultKind::Order(demoted)) => self.store(value, demoted),
+            _ => self.store(value, order),
+        }
+    }
 }
 
 impl fmt::Debug for SchedWord {
@@ -1734,6 +1742,16 @@ mod tests {
             assert!(b0.load(Relaxed));
         });
         assert!(b.load(SeqCst), "the buffered store lands when the run drains");
+
+        let w = Arc::new(<Sched as Backend>::Word::new(0));
+        let w0 = Arc::clone(&w);
+        let _fault = arm(Fault { site: Site::BR_PUB, kind: FaultKind::Order(Release) });
+        run_one(MemoryModel::StoreBuffer, move || {
+            w0.store_at(Site::BR_PUB, 7, SeqCst);
+            assert_eq!(w0.inner.load(SeqCst), 0, "the demoted store must sit in the buffer");
+            assert_eq!(w0.load(Relaxed), 7);
+        });
+        assert_eq!(w.load(SeqCst), 7);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! ```
 
 use rmrw::baselines::TicketRwLock;
-use rmrw::bravo::{Bravo, BravoConfig};
+use rmrw::bravo::Bravo;
 use rmrw::core::RwLock;
 use rmrw::obs::{Event, Metric, Recorder, StatsRecorder};
 use rmrw::sim::rng::SplitMix64;
@@ -46,17 +46,10 @@ fn main() {
     let cache: Arc<Vec<Shard>> = Arc::new(
         (0..SHARDS)
             .map(|_| {
-                RwLock::with_raw(
-                    HashMap::new(),
-                    Bravo::with_config(
-                        TicketRwLock::new(THREADS + 1),
-                        // Small tables: one slot per possible thread is
-                        // plenty, and writers scan the whole table on
-                        // every revocation.
-                        BravoConfig { table_slots: 16, rebias_after: 32, initial_bias: true },
-                    ),
-                )
-                .with_recorder(Arc::clone(&rec))
+                // One table slot per possible thread: a revocation scans
+                // THREADS + 1 lines.
+                RwLock::with_raw(HashMap::new(), Bravo::new(TicketRwLock::new(THREADS + 1)))
+                    .with_recorder(Arc::clone(&rec))
             })
             .collect(),
     );

@@ -471,7 +471,7 @@ fn pid_leases_match_reference_model() {
 /// A leaked (`mem::forget`) fast-path read guard leaves its raw read
 /// session — here: its visible-readers table slot — open forever. The
 /// thread-exit lease reclaim must then keep the pid reserved (re-issuing
-/// it would let a second thread CAS against a slot mid-session), and
+/// it would let a second thread store into a slot mid-session), and
 /// nothing may unpublish the slot behind the leaked guard's back.
 #[test]
 fn bravo_leaked_fast_guard_pins_pid_and_slot() {

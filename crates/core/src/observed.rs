@@ -20,13 +20,15 @@
 //! const-folds and the wrapper monomorphizes to plain forwarding — the
 //! test `noop_recorder_footprint_is_identical_op_for_op` below proves the
 //! `Counting` tally is identical op for op. With a live
-//! [`StatsRecorder`](rmr_obs::StatsRecorder), each hook performs a
-//! handful of `Relaxed` writes to the calling pid's own
-//! cache-padded slot: local-slot operations, free under the CC cost
-//! model and invisible to the `Counting` backend (the recorder
-//! deliberately uses plain `std` atomics, never `B`-typed ones) — so an
-//! instrumented passage still performs O(1) RMRs, and an instrumented
-//! Bravo fast read still performs zero inner-lock operations.
+//! [`StatsRecorder`](rmr_obs::StatsRecorder), each hook counts on the
+//! calling pid's own cache-padded slot: a `Relaxed` load and store by
+//! the slot's owner thread, a `Relaxed` `fetch_add` by any other. These
+//! are local-slot operations, free under the CC cost model and invisible
+//! to the `Counting` backend (the recorder deliberately uses plain `std`
+//! atomics, never `B`-typed ones) — so an instrumented passage still
+//! performs O(1) RMRs, and an instrumented Bravo fast read still
+//! performs zero inner-lock operations. Only 1 passage in
+//! `rmr_obs::SAMPLE_PERIOD` per pid also reads the clock.
 //!
 //! Contention is classified through the spin seam
 //! ([`rmr_mutex::spin::thread_spin_tally`]): an acquisition that burned

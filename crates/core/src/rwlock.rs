@@ -363,8 +363,11 @@ pub fn release_pid(registry: &Arc<PidRegistry>, pid: Pid, source: PidSource) {
 /// uninstrumented one (the `Counting` backend proves it op for op in
 /// `observed::tests::noop_recorder_footprint_is_identical_op_for_op`).
 /// [`RwLock::with_recorder`] swaps in a live recorder — typically an
-/// `Arc<StatsRecorder>` — and every passage is then counted, classified
-/// contended/uncontended and latency-histogrammed.
+/// `Arc<StatsRecorder>` — and every passage is then counted and
+/// classified contended/uncontended, and 1 in `rmr_obs::SAMPLE_PERIOD`
+/// per pid is latency-histogrammed. A count is the owner thread's plain
+/// store to the pid's recorder slot, or a `fetch_add` from any other
+/// thread that records for that pid.
 pub struct RwLock<T: ?Sized, L, R = NoopRecorder> {
     pub(crate) raw: L,
     pub(crate) registry: Arc<PidRegistry>,

@@ -21,8 +21,10 @@
 //!   of event counters ([`Event`]) and log-bucketed HDR-style latency
 //!   histograms ([`Metric`], [`hist::Histogram`]), plus an optional
 //!   bounded lock-free event ring ([`ring::EventRing`]) that replays as
-//!   Chrome `trace_event` JSON. A recorder write is a handful of
-//!   `Relaxed` operations on this pid's own cache-padded slot —
+//!   Chrome `trace_event` JSON. A counted event is a `Relaxed` load and
+//!   store by the slot's owner thread, with no lock prefix, or a
+//!   `Relaxed` `fetch_add` by any other thread ([`StatsRecorder`] says
+//!   which is which), on this pid's own cache-padded slot —
 //!   **deliberately plain `std` atomics, not memory-backend-typed**, so
 //!   instrumentation never pollutes `Counting` RMR tallies and never
 //!   perturbs `Sched` schedules. That locality argument is also why the
@@ -69,6 +71,7 @@ pub use clock::{Clock, MonoClock, TickClock};
 pub use hist::Histogram;
 pub use ring::{EventRing, TraceEvent};
 
+use std::cell::Cell;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -291,20 +294,74 @@ impl<R: Recorder> Recorder for Arc<R> {
     }
 }
 
+/// Draws thread tokens: each thread takes one on its first count, and no
+/// token is ever drawn twice, so a token names one thread for good.
+static NEXT_TOKEN: AtomicU64 = AtomicU64::new(1);
+
+thread_local! {
+    /// This thread's token; 0 until its first count.
+    static TOKEN: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The calling thread's token. `TOKEN` has no destructor, so on targets
+/// with native thread-locals `try_with` never fails, even in another
+/// thread-local's destructor; 0 is a fallback for targets where it can.
+#[inline]
+fn thread_token() -> u64 {
+    TOKEN
+        .try_with(|t| {
+            if t.get() == 0 {
+                t.set(NEXT_TOKEN.fetch_add(1, Ordering::Relaxed));
+            }
+            t.get()
+        })
+        .unwrap_or(0)
+}
+
 /// One pid's slot: event counters plus one histogram per metric, padded
 /// to its own cache lines so recording never shares a line with another
 /// pid (the zero-CC-RMR argument for instrumented steady-state reads).
+///
+/// `owner` holds the token of the first thread to count on this slot,
+/// claimed once by CAS and never changed. Only that thread writes
+/// `counters`, with a plain load and store; every other writer adds to
+/// `shared` with `fetch_add`. A count is `counters[e] + shared[e]`.
 #[repr(align(128))]
 struct Slot {
+    owner: AtomicU64,
     counters: [AtomicU64; Event::COUNT],
+    shared: [AtomicU64; Event::COUNT],
     hists: [Histogram; Metric::COUNT],
 }
 
 impl Slot {
     fn new() -> Self {
         Self {
+            owner: AtomicU64::new(0),
             counters: std::array::from_fn(|_| AtomicU64::new(0)),
+            shared: std::array::from_fn(|_| AtomicU64::new(0)),
             hists: std::array::from_fn(|_| Histogram::new()),
+        }
+    }
+
+    fn count(&self, event: Event) -> u64 {
+        let e = event as usize;
+        self.counters[e].load(Ordering::Relaxed) + self.shared[e].load(Ordering::Relaxed)
+    }
+
+    /// Whether the calling thread owns this slot, claiming it if nobody
+    /// does yet. A thread without a token owns nothing.
+    /// `Relaxed` suffices: the word publishes no other data, and only the
+    /// thread holding its token can ever read it as its own.
+    #[inline]
+    fn owned_by_caller(&self) -> bool {
+        let me = thread_token();
+        if me == 0 {
+            return false;
+        }
+        match self.owner.load(Ordering::Relaxed) {
+            0 => self.owner.compare_exchange(0, me, Ordering::Relaxed, Ordering::Relaxed).is_ok(),
+            owner => owner == me,
         }
     }
 }
@@ -318,6 +375,15 @@ impl Slot {
 /// per-pid histograms lock-free ([`Histogram::merge_into`]); concurrent
 /// recording during a merge may be attributed to either side but is
 /// never lost.
+///
+/// Counts are exact however threads map to pids. The first thread to
+/// count on a pid's slot owns it and bumps its counters with a `Relaxed`
+/// load and store, no lock prefix. Any other thread — one on a second
+/// lock sharing this recorder, or one that leased the pid after its
+/// owner exited — takes a `Relaxed` `fetch_add` on a separate per-slot
+/// array, and reads sum the two. So the saving needs one long-lived
+/// thread per pid per recorder; a thread on the shared path pays the old
+/// `fetch_add` plus a thread-local read and a load of the owner word.
 pub struct StatsRecorder<C: Clock = MonoClock> {
     clock: C,
     slots: Box<[Slot]>,
@@ -358,12 +424,12 @@ impl<C: Clock> StatsRecorder<C> {
 
     /// Total count of `event` across all pids.
     pub fn counter(&self, event: Event) -> u64 {
-        self.slots.iter().map(|s| s.counters[event as usize].load(Ordering::Relaxed)).sum()
+        self.slots.iter().map(|s| s.count(event)).sum()
     }
 
     /// Count of `event` recorded by `pid` alone.
     pub fn counter_for(&self, pid: usize, event: Event) -> u64 {
-        self.slot(pid).counters[event as usize].load(Ordering::Relaxed)
+        self.slot(pid).count(event)
     }
 
     /// Merges every pid's histogram of `metric` into one (lock-free; see
@@ -417,17 +483,26 @@ impl<C: Clock> Recorder for StatsRecorder<C> {
     }
 
     /// Times the passage iff `pid`'s count of `event` so far is a
-    /// multiple of [`SAMPLE_PERIOD`]: one `Relaxed` load of the pid's own
+    /// multiple of [`SAMPLE_PERIOD`]: two `Relaxed` loads of the pid's own
     /// slot, and a clock read only on a timed passage.
     #[inline]
     fn stamp(&self, pid: usize, event: Event) -> Option<u64> {
-        let seen = self.slot(pid).counters[event as usize].load(Ordering::Relaxed);
+        let seen = self.slot(pid).count(event);
         seen.is_multiple_of(SAMPLE_PERIOD).then(|| self.clock.now())
     }
 
+    /// The slot's owner thread stores `counters[e] + n` (it is that
+    /// cell's only writer ever); any other thread `fetch_add`s `shared[e]`.
     #[inline]
     fn add(&self, pid: usize, event: Event, n: u64) {
-        self.slot(pid).counters[event as usize].fetch_add(n, Ordering::Relaxed);
+        let slot = self.slot(pid);
+        let e = event as usize;
+        if slot.owned_by_caller() {
+            let c = &slot.counters[e];
+            c.store(c.load(Ordering::Relaxed).wrapping_add(n), Ordering::Relaxed);
+        } else {
+            slot.shared[e].fetch_add(n, Ordering::Relaxed);
+        }
         if let Some(ring) = &self.ring {
             ring.push(TraceEvent::event(self.clock.now(), pid, event, n));
         }
@@ -454,6 +529,12 @@ impl<C: Clock> fmt::Debug for StatsRecorder<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Everything counted through the shared `fetch_add` path, over all
+    /// pids and events.
+    fn shared_total<C: Clock>(rec: &StatsRecorder<C>) -> u64 {
+        rec.slots.iter().flat_map(|s| &s.shared).map(|c| c.load(Ordering::Relaxed)).sum()
+    }
 
     #[test]
     fn noop_recorder_is_inert() {
@@ -490,6 +571,88 @@ mod tests {
         assert_eq!(rec.counter_for(0, Event::ReadAcquire), 1);
         assert_eq!(rec.counter_for(1, Event::SpinSteps), 7);
         assert_eq!(rec.counter(Event::WriteAcquire), 0);
+    }
+
+    #[test]
+    fn one_thread_counts_on_the_owner_path_only() {
+        let rec = StatsRecorder::new(4);
+        for pid in 0..4 {
+            for _ in 0..3 * SAMPLE_PERIOD {
+                let _ = rec.stamp(pid, Event::ReadAcquire);
+                rec.count(pid, Event::ReadAcquire);
+                rec.count(pid, Event::ReadRelease);
+            }
+            rec.add(pid, Event::SpinSteps, 5);
+        }
+        assert_eq!(shared_total(&rec), 0);
+        assert_eq!(rec.counter(Event::ReadAcquire), 4 * 3 * SAMPLE_PERIOD);
+        assert_eq!(rec.counter_for(3, Event::SpinSteps), 5);
+    }
+
+    #[test]
+    fn a_pid_outliving_its_owner_thread_counts_exactly_on_the_shared_path() {
+        const N: u64 = 1001;
+        let rec = Arc::new(StatsRecorder::new(2));
+        for _ in 0..2 {
+            let rec = Arc::clone(&rec);
+            std::thread::spawn(move || (0..N).for_each(|_| rec.count(0, Event::ReadAcquire)))
+                .join()
+                .unwrap();
+        }
+        // The first thread owned pid 0's slot; the second added to it.
+        assert_eq!(shared_total(&rec), N);
+        assert_eq!(rec.counter_for(0, Event::ReadAcquire), 2 * N);
+        // Sampling keys off the sum, so the phase carries across owners.
+        assert!(rec.stamp(0, Event::ReadAcquire).is_none());
+        for _ in 0..(SAMPLE_PERIOD - 2 * N % SAMPLE_PERIOD) {
+            rec.count(0, Event::ReadAcquire);
+        }
+        assert!(rec.stamp(0, Event::ReadAcquire).is_some());
+    }
+
+    #[test]
+    fn two_threads_on_one_pid_keep_exact_counts() {
+        const N: u64 = 20_000;
+        let rec = StatsRecorder::new(1);
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    start.wait();
+                    (0..N).for_each(|_| rec.count(0, Event::UserHit));
+                });
+            }
+        });
+        assert_eq!(rec.counter(Event::UserHit), 2 * N);
+        assert_eq!(shared_total(&rec), N, "one owner, one sharer");
+    }
+
+    #[test]
+    fn a_count_from_a_tls_destructor_is_exact() {
+        struct CountOnExit(Arc<StatsRecorder>);
+        impl Drop for CountOnExit {
+            fn drop(&mut self) {
+                self.0.count(0, Event::ReadRelease);
+            }
+        }
+        thread_local! {
+            static ON_EXIT: std::cell::RefCell<Option<CountOnExit>> =
+                const { std::cell::RefCell::new(None) };
+        }
+        let rec = Arc::new(StatsRecorder::new(1));
+        let mine = Arc::clone(&rec);
+        // `join` returns once the thread has exited, destructors included.
+        std::thread::spawn(move || {
+            mine.count(0, Event::ReadAcquire);
+            ON_EXIT.with(|slot| *slot.borrow_mut() = Some(CountOnExit(mine)));
+        })
+        .join()
+        .unwrap();
+        assert_eq!(rec.counter(Event::ReadAcquire), 1);
+        assert_eq!(rec.counter(Event::ReadRelease), 1);
+        // `TOKEN` has no destructor, so the destructor's count ran as the
+        // slot's owner thread and took the owner path.
+        assert_eq!(shared_total(&rec), 0);
     }
 
     #[test]

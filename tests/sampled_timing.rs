@@ -7,8 +7,9 @@ use rmrw::async_lock::exec::block_on;
 use rmrw::async_lock::AsyncRwLock;
 use rmrw::baselines::TicketRwLock;
 use rmrw::core::mwmr::MwmrStarvationFree;
-use rmrw::core::{Observed, Pid, RawRwLock, RwLock};
+use rmrw::core::{Observed, Pid, RawRwLock, ReadGuard, RwLock};
 use rmrw::obs::{Event, Metric, Recorder, StatsRecorder, TickClock, TraceEvent, SAMPLE_PERIOD};
+use std::cell::RefCell;
 use std::sync::{Arc, Barrier};
 
 const READS: u64 = 100;
@@ -117,8 +118,9 @@ fn only_timed_passages_read_the_clock() {
 }
 
 /// Pids are per registry but a recorder may be shared across locks, so
-/// two threads can record for the same pid at once: slot counters must
-/// stay read-modify-write, or counts are lost.
+/// two threads can record for the same pid at once: the slot's owner
+/// thread counts with a plain store, so the other must take the shared
+/// `fetch_add` path, or counts are lost.
 #[test]
 fn a_recorder_shared_across_locks_keeps_exact_counts() {
     const N: u64 = 50_000;
@@ -141,4 +143,51 @@ fn a_recorder_shared_across_locks_keeps_exact_counts() {
     assert_eq!(rec.counter_for(0, Event::ReadAcquire), 2 * N);
     assert_eq!(rec.counter(Event::ReadAcquire), 2 * N);
     assert_eq!(rec.counter(Event::ReadRelease), 2 * N);
+}
+
+/// Pid 0's first thread owns its recorder slot and exits; the next
+/// thread to lease pid 0 counts through the shared path, and both the
+/// counts and the sampling phase carry across the two.
+#[test]
+fn a_pid_re_leased_after_its_owner_exits_keeps_exact_counts() {
+    const N: u64 = 1000;
+    let rec = Arc::new(StatsRecorder::new(2));
+    let lock = Arc::new(RwLock::starvation_free(0u64, 2).with_recorder(Arc::clone(&rec)));
+    for _ in 0..2 {
+        let lock = Arc::clone(&lock);
+        // `join` returns once the thread has exited and returned its pid.
+        std::thread::spawn(move || (0..N).for_each(|_| drop(lock.read()))).join().unwrap();
+    }
+    assert_eq!(rec.counter_for(0, Event::ReadAcquire), 2 * N);
+    assert_eq!(rec.counter(Event::ReadAcquire), 2 * N);
+    assert_eq!(rec.counter(Event::ReadRelease), 2 * N);
+    assert_eq!(rec.samples(Metric::ReadAcquireNs), (2 * N).div_ceil(SAMPLE_PERIOD));
+}
+
+type TlsGuard = ReadGuard<'static, u64, MwmrStarvationFree, Arc<StatsRecorder>>;
+
+thread_local! {
+    static HELD: RefCell<Option<TlsGuard>> = const { RefCell::new(None) };
+}
+
+/// A read guard parked in a `thread_local!` is released by that
+/// thread-local's destructor, during thread teardown, and still counted.
+/// The destructor runs on the thread that owns pid 0's recorder slot, so
+/// it counts on the owner path (`rmr-obs`'s unit tests pin which).
+#[test]
+fn a_guard_dropped_during_thread_teardown_is_counted() {
+    const N: u64 = 100;
+    let rec = Arc::new(StatsRecorder::new(2));
+    let lock: &'static _ =
+        Box::leak(Box::new(RwLock::starvation_free(0u64, 2).with_recorder(Arc::clone(&rec))));
+    std::thread::spawn(move || {
+        for _ in 0..N {
+            drop(lock.read());
+        }
+        HELD.with(|held| *held.borrow_mut() = Some(lock.read()));
+    })
+    .join()
+    .unwrap();
+    assert_eq!(rec.counter(Event::ReadAcquire), N + 1);
+    assert_eq!(rec.counter(Event::ReadRelease), N + 1);
 }

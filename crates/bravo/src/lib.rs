@@ -321,10 +321,11 @@ impl<L: RawRwLock, B: Backend, R: Recorder> Bravo<L, B, R> {
         self.published() == 0
     }
 
-    /// Attempts the biased fast path. `Some(slot)` means the caller is in
+    /// Attempts the biased fast path. `Some` means the caller is in
     /// (published + bias re-checked); `None` means bias off or a racing
     /// revocation — take the slow path.
-    fn try_fast_read(&self, pid: Pid) -> Option<usize> {
+    #[inline]
+    fn try_fast_read(&self, pid: Pid) -> Option<BravoReadToken<L::ReadToken>> {
         // Relaxed pre-check: purely an optimization hint. A stale `true`
         // is corrected by the SeqCst re-check below; a stale `false` only
         // costs a slow-path detour.
@@ -344,12 +345,38 @@ impl<L: RawRwLock, B: Backend, R: Recorder> Bravo<L, B, R> {
         // or we retract and go slow. Demoting the *writer's* half of this
         // square is the `DemoteBiasClear` fault in `rmr-check`.
         if self.rbias.load(MemOrdering::SeqCst) {
-            return Some(slot);
+            if R::ENABLED {
+                self.recorder.count(pid.index(), Event::BravoFastRead);
+            }
+            return Some(BravoReadToken { path: ReadPath::Fast { slot } });
         }
         // Retract before ever entering the CS: nothing was read under the
         // failed publish, so no ordering obligation — Relaxed.
         self.slots[slot].store(EMPTY, MemOrdering::Relaxed);
         None
+    }
+
+    /// The slow read path behind [`RawRwLock::read_lock`] and
+    /// [`RawTryReadLock::try_read_lock`]: `acquire` takes the inner read
+    /// lock (`None`: a bounded attempt was denied), then the re-bias
+    /// policy and its hooks run. Kept out of line so the fast path inlines
+    /// into the caller's passage.
+    #[cold]
+    #[inline(never)]
+    fn read_slow(
+        &self,
+        pid: Pid,
+        acquire: impl FnOnce(&L) -> Option<L::ReadToken>,
+    ) -> Option<BravoReadToken<L::ReadToken>> {
+        let token = acquire(&self.inner)?;
+        let rebiased = self.note_slow_read();
+        if R::ENABLED {
+            self.recorder.count(pid.index(), Event::BravoSlowRead);
+            if rebiased {
+                self.recorder.count(pid.index(), Event::BravoRebias);
+            }
+        }
+        Some(BravoReadToken { path: ReadPath::Slow(token) })
     }
 
     /// The counter re-bias policy. Must only be called while holding the
@@ -407,24 +434,14 @@ impl<L: RawRwLock, B: Backend, R: Recorder> RawRwLock for Bravo<L, B, R> {
     type ReadToken = BravoReadToken<L::ReadToken>;
     type WriteToken = L::WriteToken;
 
+    #[inline]
     fn read_lock(&self, pid: Pid) -> Self::ReadToken {
-        if let Some(slot) = self.try_fast_read(pid) {
-            if R::ENABLED {
-                self.recorder.count(pid.index(), Event::BravoFastRead);
-            }
-            return BravoReadToken { path: ReadPath::Fast { slot } };
-        }
-        let token = self.inner.read_lock(pid);
-        let rebiased = self.note_slow_read();
-        if R::ENABLED {
-            self.recorder.count(pid.index(), Event::BravoSlowRead);
-            if rebiased {
-                self.recorder.count(pid.index(), Event::BravoRebias);
-            }
-        }
-        BravoReadToken { path: ReadPath::Slow(token) }
+        self.try_fast_read(pid)
+            .or_else(|| self.read_slow(pid, |inner| Some(inner.read_lock(pid))))
+            .expect("a blocking read lock always grants")
     }
 
+    #[inline]
     fn read_unlock(&self, pid: Pid, token: Self::ReadToken) {
         match token.path {
             ReadPath::Fast { slot } => {
@@ -464,21 +481,7 @@ unsafe impl<L: RawMultiWriter, B: Backend, R: Recorder> RawMultiWriter for Bravo
 
 impl<L: RawTryReadLock, B: Backend, R: Recorder> RawTryReadLock for Bravo<L, B, R> {
     fn try_read_lock(&self, pid: Pid) -> Option<Self::ReadToken> {
-        if let Some(slot) = self.try_fast_read(pid) {
-            if R::ENABLED {
-                self.recorder.count(pid.index(), Event::BravoFastRead);
-            }
-            return Some(BravoReadToken { path: ReadPath::Fast { slot } });
-        }
-        let token = self.inner.try_read_lock(pid)?;
-        let rebiased = self.note_slow_read();
-        if R::ENABLED {
-            self.recorder.count(pid.index(), Event::BravoSlowRead);
-            if rebiased {
-                self.recorder.count(pid.index(), Event::BravoRebias);
-            }
-        }
-        Some(BravoReadToken { path: ReadPath::Slow(token) })
+        self.try_fast_read(pid).or_else(|| self.read_slow(pid, |inner| inner.try_read_lock(pid)))
     }
 }
 
@@ -945,29 +948,37 @@ mod tests {
     #[test]
     fn recorder_sees_path_split_revocation_and_rebias() {
         use rmr_obs::StatsRecorder;
-        let rec = Arc::new(StatsRecorder::new(8));
-        let cfg = BravoConfig { rebias_after: 2, ..BravoConfig::default() };
-        let lock = Bravo::with_config(TicketRwLock::new(4), cfg).with_recorder(Arc::clone(&rec));
+        type Lock = Bravo<TicketRwLock, Native, Arc<StatsRecorder>>;
+        type Read = fn(&Lock) -> BravoReadToken<()>;
+        // Both read entry points share the slow path and its counts.
+        let blocking: Read = |lock| lock.read_lock(pid(0));
+        let bounded: Read = |lock| lock.try_read_lock(pid(0)).expect("no writer holds the lock");
+        for read in [blocking, bounded] {
+            let rec = Arc::new(StatsRecorder::new(8));
+            let cfg = BravoConfig { rebias_after: 2, ..BravoConfig::default() };
+            let lock: Lock =
+                Bravo::with_config(TicketRwLock::new(4), cfg).with_recorder(Arc::clone(&rec));
 
-        let t = lock.read_lock(pid(0));
-        assert!(t.is_fast());
-        lock.read_unlock(pid(0), t);
-        let () = lock.write_lock(pid(1));
-        lock.write_unlock(pid(1), ());
-        assert_eq!(rec.counter(Event::BravoRevoke), 1);
-
-        // Two slow reads: the second restores the bias.
-        for _ in 0..2 {
-            let t = lock.read_lock(pid(0));
-            assert!(!t.is_fast());
+            let t = read(&lock);
+            assert!(t.is_fast());
             lock.read_unlock(pid(0), t);
+            let () = lock.write_lock(pid(1));
+            lock.write_unlock(pid(1), ());
+            assert_eq!(rec.counter(Event::BravoRevoke), 1);
+
+            // Two slow reads: the second restores the bias.
+            for _ in 0..2 {
+                let t = read(&lock);
+                assert!(!t.is_fast());
+                lock.read_unlock(pid(0), t);
+            }
+            assert_eq!(rec.counter(Event::BravoSlowRead), 2);
+            assert_eq!(rec.counter(Event::BravoRebias), 1);
+            let t = read(&lock);
+            assert!(t.is_fast());
+            lock.read_unlock(pid(0), t);
+            assert_eq!(rec.counter(Event::BravoFastRead), 2);
         }
-        assert_eq!(rec.counter(Event::BravoSlowRead), 2);
-        assert_eq!(rec.counter(Event::BravoRebias), 1);
-        let t = lock.read_lock(pid(0));
-        assert!(t.is_fast());
-        lock.read_unlock(pid(0), t);
-        assert_eq!(rec.counter(Event::BravoFastRead), 2);
     }
 
     #[test]
@@ -1091,9 +1102,8 @@ mod tests {
         let lock = Bravo::new(TicketRwLock::new(4));
         // Hold the inner lock through a *slow* reader so the inner ticket
         // doorway actually queues.
-        let r = lock.try_fast_read(pid(0));
-        assert!(r.is_some());
-        lock.slots[r.unwrap()].store(EMPTY, MemOrdering::Relaxed); // retract helper probe
+        let r = lock.try_fast_read(pid(0)).expect("the lock starts biased");
+        lock.read_unlock(pid(0), r); // retract helper probe
         lock.inner.read_lock(pid(0));
         let d = lock.start_write(pid(1));
         let d = lock.poll_write(pid(1), d).expect_err("inner reader ahead in the queue");

@@ -60,6 +60,7 @@ fn acquire_event(write: bool) -> Event {
 
 /// Stamps (if the recorder samples this passage) and reads the spin
 /// tally before a blocking acquisition.
+#[inline]
 pub(crate) fn acquire_begin<R: Recorder>(rec: &R, pid: usize, write: bool) -> AcquireSample {
     AcquireSample { t0: rec.stamp(pid, acquire_event(write)), spins0: spin::thread_spin_tally() }
 }
@@ -67,14 +68,24 @@ pub(crate) fn acquire_begin<R: Recorder>(rec: &R, pid: usize, write: bool) -> Ac
 /// Records one completed blocking acquisition: the acquire event, the
 /// contended classification + spin count (when any iteration was
 /// futile), and — on a timed passage — the latency sample.
+#[inline]
 pub(crate) fn acquire_end<R: Recorder>(rec: &R, pid: usize, write: bool, s: AcquireSample) {
     let spun = spin::thread_spin_tally().saturating_sub(s.spins0);
     rec.count(pid, acquire_event(write));
+    if spun > 0 || s.t0.is_some() {
+        acquire_end_tail(rec, pid, write, spun, s.t0);
+    }
+}
+
+/// [`acquire_end`]'s rare work: a contended or timed passage.
+#[cold]
+#[inline(never)]
+fn acquire_end_tail<R: Recorder>(rec: &R, pid: usize, write: bool, spun: u64, t0: Option<u64>) {
     if spun > 0 {
         rec.count(pid, if write { Event::WriteContended } else { Event::ReadContended });
         rec.add(pid, Event::SpinSteps, spun);
     }
-    if let Some(t0) = s.t0 {
+    if let Some(t0) = t0 {
         let metric = if write { Metric::WriteAcquireNs } else { Metric::ReadAcquireNs };
         rec.record(pid, metric, rec.now().saturating_sub(t0));
     }

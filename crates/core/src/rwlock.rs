@@ -171,6 +171,7 @@ impl LeaseTable {
         self.sweep_at = (2 * self.map.len()).max(SWEEP_MIN).max(self.map.capacity());
     }
 
+    #[inline]
     fn unbusy(&mut self, key: usize, pid: Pid) {
         // A source from another thread (the public API lets one cross
         // threads) may meet a different lease of ours on the same
@@ -274,25 +275,35 @@ pub enum PidSource {
 ///
 /// Costs O(1) whatever the number of registries the thread holds leases
 /// on: one address compare, else one hash lookup keyed by the registry's
-/// address.
+/// address. Inlined into the caller's passage (dependents build without
+/// LTO); everything but an idle cached lease is the cold `lease_miss`.
+#[inline]
 pub fn lease_pid(registry: &Arc<PidRegistry>) -> Result<(Pid, PidSource), RegistryFull> {
     let key = Arc::as_ptr(registry) as usize;
     match LEASES.try_with(|table| table.borrow_mut().take_idle(key)) {
         Ok(Some(pid)) => Ok((pid, PidSource::Lease)),
-        Ok(None) => LEASES
-            .try_with(|table| table.borrow_mut().lease_slow(registry))
-            .unwrap_or_else(|_destroyed| transient_pid(registry)),
+        _ => lease_miss(registry),
+    }
+}
+
+/// A lease [`lease_pid`]'s fast path could not hand out: see
+/// [`LeaseTable::lease_slow`].
+#[cold]
+#[inline(never)]
+fn lease_miss(registry: &Arc<PidRegistry>) -> Result<(Pid, PidSource), RegistryFull> {
+    LEASES
+        .try_with(|table| table.borrow_mut().lease_slow(registry))
         // During thread teardown the lease table may already be destroyed
         // (acquiring from another thread_local's destructor, which
         // std::sync::RwLock supports). Fall back to a transient pid —
         // matching the try_with tolerance on the release side.
-        Err(_destroyed) => transient_pid(registry),
-    }
+        .unwrap_or_else(|_destroyed| transient_pid(registry))
 }
 
 /// Releases whatever hold `source` has on `pid`: the inverse of
 /// [`lease_pid`] (guard drops and failed try-acquires share this), at the
-/// same O(1) cost.
+/// same O(1) cost. Inlined, like [`lease_pid`].
+#[inline]
 pub fn release_pid(registry: &Arc<PidRegistry>, pid: Pid, source: PidSource) {
     match source {
         PidSource::Handle => {}
@@ -569,6 +580,7 @@ impl<T: ?Sized, L: RawRwLock, R: Recorder> RwLock<T, L, R> {
     /// let lock = RwLock::starvation_free(String::from("hi"), 2);
     /// assert_eq!(lock.read().len(), 2);
     /// ```
+    #[inline]
     pub fn read(&self) -> ReadGuard<'_, T, L, R> {
         let (pid, source) = self.lease().unwrap_or_else(|e| panic!("{}", lease_panic(e)));
         let token = self.locked_read(pid);
@@ -611,6 +623,7 @@ impl<T: ?Sized, L: RawRwLock, R: Recorder> RwLock<T, L, R> {
     }
 
     /// Leases a pid for the calling thread — see [`lease_pid`].
+    #[inline]
     fn lease(&self) -> Result<(Pid, PidSource), RegistryFull> {
         lease_pid(&self.registry)
     }
@@ -625,6 +638,7 @@ impl<T: ?Sized, L: RawRwLock, R: Recorder> RwLock<T, L, R> {
     /// by the leased ([`RwLock::read`]) and pinned ([`LockHandle::read`])
     /// paths. With the default [`NoopRecorder`] the `R::ENABLED` branch
     /// const-folds to the bare `read_lock` call.
+    #[inline]
     fn locked_read(&self, pid: Pid) -> L::ReadToken {
         if R::ENABLED {
             let s = acquire_begin(&self.recorder, pid.index(), false);
@@ -941,6 +955,7 @@ impl<T: ?Sized, L: RawRwLock, R: Recorder> Deref for ReadGuard<'_, T, L, R> {
 }
 
 impl<T: ?Sized, L: RawRwLock, R: Recorder> Drop for ReadGuard<'_, T, L, R> {
+    #[inline]
     fn drop(&mut self) {
         let token = self.token.take().expect("read token taken twice");
         self.lock.raw.read_unlock(self.pid, token);

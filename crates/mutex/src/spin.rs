@@ -39,6 +39,7 @@ thread_local! {
 /// loop). Monotone per thread; sample before and after an acquisition
 /// and subtract. Used by `rmr-obs`-instrumented tiers to classify
 /// contended vs. uncontended passages and to tally spin counts.
+#[inline]
 pub fn thread_spin_tally() -> u64 {
     SPIN_TALLY.try_with(Cell::get).unwrap_or(0)
 }

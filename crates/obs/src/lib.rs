@@ -211,6 +211,7 @@ pub trait Recorder: Send + Sync {
     fn record(&self, pid: usize, metric: Metric, value: u64);
 
     /// Counts one occurrence of `event` for `pid`.
+    #[inline]
     fn count(&self, pid: usize, event: Event) {
         self.add(pid, event, 1);
     }
@@ -344,6 +345,7 @@ impl Slot {
         }
     }
 
+    #[inline]
     fn count(&self, event: Event) -> u64 {
         let e = event as usize;
         self.counters[e].load(Ordering::Relaxed) + self.shared[e].load(Ordering::Relaxed)

@@ -134,9 +134,9 @@ where
 
 /// Like [`async_rw_trial`], but writers use the deprecated
 /// [`AsyncRwLock::write_blocking`] — still the writer endpoint for raw
-/// locks without a `RawParkedWaiters` doorway (the Fig. 3–5 multi-writer
-/// locks). Readers still suspend; the blocking writers' release paths
-/// must wake them.
+/// locks without a `RawParkedWaiters` doorway (the Fig. 3 ∘ {1, 2} and
+/// Fig. 4 multi-writer locks). Readers still suspend; the blocking
+/// writers' release paths must wake them.
 pub fn async_read_blocking_write_trial<L, R>(
     lock: Arc<AsyncRwLock<(), L, Sched, R>>,
     scenario: Scenario,

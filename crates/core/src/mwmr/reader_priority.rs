@@ -1,28 +1,25 @@
 //! Figure 3 over Figure 2: the multi-writer multi-reader lock with
 //! **reader priority** (Theorem 4).
 //!
-//! Same transformation `T` as [`super::MwmrStarvationFree`], instantiated
-//! with the Figure 2 reader-priority single-writer lock: writers serialize
-//! through `M` and then play the single writer of Figure 2; readers run
-//! Figure 2's reader protocol unchanged. RP1/RP2 lift to the multi-writer
-//! setting because readers never interact with `M` at all — a reader that
-//! outranks every active writer (in the `>rp` relation) finds the inner
-//! lock's `X ≠ true` or an open gate exactly as in the single-writer proof.
+//! Same transformation `T` as [`super::MwmrStarvationFree`], written once
+//! in [`super::fig3`] and instantiated with the Figure 2 reader-priority
+//! single-writer lock: writers serialize through `M` and then play the
+//! single writer of Figure 2; readers run Figure 2's reader protocol
+//! unchanged. RP1/RP2 lift to the multi-writer setting because readers
+//! never interact with `M` at all — a reader that outranks every active
+//! writer (in the `>rp` relation) finds the inner lock's `X ≠ true` or an
+//! open gate exactly as in the single-writer proof.
 
-use crate::raw::{RawMultiWriter, RawRwLock, RawTryReadLock};
+use super::fig3::{self, Fig3};
+use crate::raw::RawTryReadLock;
 use crate::registry::Pid;
 use crate::swmr::reader_priority::{ReadSession, SwmrReaderPriority, WriteSession};
 use rmr_mutex::mem::{Backend, Native};
 use rmr_mutex::{AndersonLock, RawMutex};
-use std::fmt;
 
-/// Proof of a held write lock: the inner write session plus the `M` token.
-#[derive(Debug)]
-#[must_use = "the write lock must be released with write_unlock"]
-pub struct WriteToken<M: RawMutex> {
-    session: WriteSession,
-    mutex_token: M::Token,
-}
+/// Proof of a held write lock: the inner Figure 2 write session plus the
+/// `M` token.
+pub type WriteToken<M> = fig3::WriteToken<WriteSession, M>;
 
 /// Figure 3 instantiated with Figure 2: multi-writer multi-reader lock
 /// satisfying P1–P6 plus RP1 (reader priority) and RP2 (unstoppable
@@ -32,8 +29,9 @@ pub struct WriteToken<M: RawMutex> {
 /// use [`super::MwmrStarvationFree`] when no class may starve.
 ///
 /// Generic over the writer-side mutex `M` and the memory backend `B`
-/// ([`Native`] by default; use [`MwmrReaderPriority::new_in`] with
+/// ([`Native`] by default; use [`Fig3::new_in`] with
 /// [`rmr_mutex::Counting`] to measure RMRs on the real implementation).
+/// Constructors and the lock interface are [`Fig3`]'s.
 ///
 /// # Example
 ///
@@ -46,106 +44,7 @@ pub struct WriteToken<M: RawMutex> {
 /// let r = lock.read_lock(Pid::from_index(0));
 /// lock.read_unlock(Pid::from_index(0), r);
 /// ```
-pub struct MwmrReaderPriority<M: RawMutex = AndersonLock, B: Backend = Native> {
-    swmr: SwmrReaderPriority<B>,
-    mutex: M,
-    max_processes: usize,
-}
-
-impl MwmrReaderPriority<AndersonLock> {
-    /// Creates a lock for up to `max_processes` concurrently registered
-    /// processes, using an [`AndersonLock`] sized accordingly as `M`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_processes == 0`.
-    pub fn new(max_processes: usize) -> Self {
-        Self::with_mutex(AndersonLock::new(max_processes), max_processes)
-    }
-}
-
-impl<B: Backend> MwmrReaderPriority<AndersonLock<B>, B> {
-    /// Creates a lock for up to `max_processes` processes over the given
-    /// memory backend, with a matching-backend [`AndersonLock`] as `M`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_processes == 0`.
-    pub fn new_in(max_processes: usize, backend: B) -> Self {
-        Self::with_mutex_in(AndersonLock::new_in(max_processes, backend), max_processes, backend)
-    }
-}
-
-impl<M: RawMutex> MwmrReaderPriority<M> {
-    /// Creates the lock over a caller-supplied mutex `M` (see
-    /// [`super::MwmrStarvationFree::with_mutex`] for the requirements).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_processes == 0` or exceeds the mutex capacity.
-    pub fn with_mutex(mutex: M, max_processes: usize) -> Self {
-        Self::with_mutex_in(mutex, max_processes, Native)
-    }
-}
-
-impl<M: RawMutex, B: Backend> MwmrReaderPriority<M, B> {
-    /// Creates the lock over a caller-supplied mutex `M` and memory
-    /// backend (see [`super::MwmrStarvationFree::with_mutex_in`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_processes == 0` or exceeds the mutex capacity.
-    pub fn with_mutex_in(mutex: M, max_processes: usize, _backend: B) -> Self {
-        assert!(max_processes > 0, "max_processes must be positive");
-        if let Some(cap) = mutex.capacity() {
-            assert!(
-                cap >= max_processes,
-                "mutex capacity {cap} below max_processes {max_processes}"
-            );
-        }
-        Self { swmr: SwmrReaderPriority::new_in(B::default()), mutex, max_processes }
-    }
-
-    /// The inner single-writer lock (for diagnostics and tests).
-    pub fn inner(&self) -> &SwmrReaderPriority<B> {
-        &self.swmr
-    }
-
-    /// True when the construction is at rest (the inner Figure 2 instance
-    /// is quiescent). Checker entry point asserted by `rmr-check` at
-    /// teardown; only meaningful while no attempt is in flight.
-    pub fn is_quiescent(&self) -> bool {
-        self.swmr.is_quiescent()
-    }
-}
-
-impl<M: RawMutex, B: Backend> RawRwLock for MwmrReaderPriority<M, B> {
-    type ReadToken = ReadSession;
-    type WriteToken = WriteToken<M>;
-
-    fn read_lock(&self, pid: Pid) -> ReadSession {
-        self.swmr.read_lock(pid)
-    }
-
-    fn read_unlock(&self, pid: Pid, token: ReadSession) {
-        self.swmr.read_unlock(pid, token);
-    }
-
-    fn write_lock(&self, pid: Pid) -> WriteToken<M> {
-        let mutex_token = self.mutex.lock(); // T line 2: acquire(M)
-        let session = self.swmr.write_lock(pid); // T line 3: SW-Write-try()
-        WriteToken { session, mutex_token }
-    }
-
-    fn write_unlock(&self, pid: Pid, token: WriteToken<M>) {
-        self.swmr.write_unlock(pid, token.session); // T line 5
-        self.mutex.unlock(token.mutex_token); // T line 6
-    }
-
-    fn max_processes(&self) -> usize {
-        self.max_processes
-    }
-}
+pub type MwmrReaderPriority<M = AndersonLock, B = Native> = Fig3<SwmrReaderPriority<B>, M>;
 
 /// Readers run Figure 2's protocol unchanged, so its bounded read attempt
 /// carries over verbatim. No `RawTryRwLock`: the writer path blocks on `M`
@@ -163,29 +62,20 @@ impl<M: RawMutex, B: Backend> RawRwLock for MwmrReaderPriority<M, B> {
 /// lock.read_unlock(Pid::from_index(0), r);
 /// ```
 impl<M: RawMutex, B: Backend> RawTryReadLock for MwmrReaderPriority<M, B> {
+    #[inline]
     fn try_read_lock(&self, pid: Pid) -> Option<ReadSession> {
-        self.swmr.try_read_lock(pid)
-    }
-}
-
-// SAFETY: writers serialize through the mutex `M` before entering the
-// Figure 2 writer protocol, so any number of concurrent write_lock callers
-// are mutually excluded (Theorem 4).
-unsafe impl<M: RawMutex, B: Backend> RawMultiWriter for MwmrReaderPriority<M, B> {}
-
-impl<M: RawMutex, B: Backend> fmt::Debug for MwmrReaderPriority<M, B> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("MwmrReaderPriority")
-            .field("max_processes", &self.max_processes)
-            .field("inner", &self.swmr)
-            .finish()
+        RawTryReadLock::try_read_lock(self.inner(), pid)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use crate::mwmr::fig3::tests as fig3;
+    use crate::raw::RawRwLock;
+    use crate::registry::Pid;
+    use rmr_mutex::McsLock;
+    use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
     use std::time::Duration;
 
@@ -195,13 +85,12 @@ mod tests {
 
     #[test]
     fn single_thread_cycles() {
-        let lock = MwmrReaderPriority::new(4);
-        for _ in 0..50 {
-            let r = lock.read_lock(pid(0));
-            lock.read_unlock(pid(0), r);
-            let w = lock.write_lock(pid(0));
-            lock.write_unlock(pid(0), w);
-        }
+        fig3::read_write_cycles(MwmrReaderPriority::new(4));
+    }
+
+    #[test]
+    fn works_over_mcs_mutex_too() {
+        fig3::read_write_cycles(MwmrReaderPriority::with_mutex(McsLock::new(), 4));
     }
 
     #[test]
@@ -245,42 +134,12 @@ mod tests {
 
     #[test]
     fn exclusion_stress() {
-        let lock = Arc::new(MwmrReaderPriority::new(8));
-        let readers_in = Arc::new(AtomicUsize::new(0));
-        let writers_in = Arc::new(AtomicUsize::new(0));
-        let mut handles = Vec::new();
-        for i in 0..2 {
-            let lock = Arc::clone(&lock);
-            let readers_in = Arc::clone(&readers_in);
-            let writers_in = Arc::clone(&writers_in);
-            handles.push(std::thread::spawn(move || {
-                for _ in 0..100 {
-                    let w = lock.write_lock(pid(i));
-                    assert_eq!(writers_in.fetch_add(1, Ordering::SeqCst), 0, "two writers in CS");
-                    assert_eq!(readers_in.load(Ordering::SeqCst), 0, "reader with writer in CS");
-                    writers_in.fetch_sub(1, Ordering::SeqCst);
-                    lock.write_unlock(pid(i), w);
-                }
-            }));
-        }
-        for i in 2..6 {
-            let lock = Arc::clone(&lock);
-            let readers_in = Arc::clone(&readers_in);
-            let writers_in = Arc::clone(&writers_in);
-            handles.push(std::thread::spawn(move || {
-                for _ in 0..100 {
-                    let r = lock.read_lock(pid(i));
-                    readers_in.fetch_add(1, Ordering::SeqCst);
-                    assert_eq!(writers_in.load(Ordering::SeqCst), 0, "writer with reader in CS");
-                    readers_in.fetch_sub(1, Ordering::SeqCst);
-                    lock.read_unlock(pid(i), r);
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(lock.inner().reader_count(), 0);
+        fig3::exclusion_stress(MwmrReaderPriority::new(8));
+    }
+
+    #[test]
+    fn exclusion_stress_mcs() {
+        fig3::exclusion_stress(MwmrReaderPriority::with_mutex(McsLock::new(), 8));
     }
 
     #[test]

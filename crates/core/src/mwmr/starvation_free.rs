@@ -1,38 +1,25 @@
 //! Figure 3 over Figure 1: the multi-writer multi-reader lock with
 //! **starvation freedom and no priority** (Theorem 3).
 //!
-//! The transformation `T` is exactly the paper's: writers serialize through
-//! a mutual-exclusion lock `M` (Anderson's array lock by default) and then
-//! run the single-writer algorithm's writer protocol; readers run the
-//! single-writer reader protocol untouched.
-//!
-//! ```text
-//! procedure Write-lock()            procedure Read-lock()
-//! 2. acquire(M)                     8. SW-Read-try()
-//! 3. SW-Write-try()                 9. CRITICAL SECTION
-//! 4. CRITICAL SECTION              10. SW-Read-exit()
-//! 5. SW-Write-exit()
-//! 6. release(M)
-//! ```
+//! The transformation `T` is exactly the paper's, written once in
+//! [`super::fig3`]: writers serialize through a mutual-exclusion lock `M`
+//! (Anderson's array lock by default) and then run Figure 1's writer
+//! protocol; readers run Figure 1's reader protocol untouched.
 //!
 //! Because `M` is FCFS and starvation free and the inner Figure 1 lock is
 //! starvation free in both roles, every property of Theorem 1 lifts to the
 //! multi-writer setting: P1–P7 with O(1) RMR complexity (Theorem 3).
 
-use crate::raw::{RawMultiWriter, RawRwLock, RawTryReadLock};
+use super::fig3::{self, Fig3};
+use crate::raw::RawTryReadLock;
 use crate::registry::Pid;
 use crate::swmr::writer_priority::{ReadSession, SwmrWriterPriority, WriteSession};
 use rmr_mutex::mem::{Backend, Native};
 use rmr_mutex::{AndersonLock, RawMutex};
-use std::fmt;
 
-/// Proof of a held write lock: the inner write session plus the `M` token.
-#[derive(Debug)]
-#[must_use = "the write lock must be released with write_unlock"]
-pub struct WriteToken<M: RawMutex> {
-    session: WriteSession,
-    mutex_token: M::Token,
-}
+/// Proof of a held write lock: the inner Figure 1 write session plus the
+/// `M` token.
+pub type WriteToken<M> = fig3::WriteToken<WriteSession, M>;
 
 /// Figure 3 instantiated with Figure 1: multi-writer multi-reader lock
 /// satisfying P1–P7 (mutual exclusion, bounded exit, FCFS writers, FIFE
@@ -42,8 +29,9 @@ pub struct WriteToken<M: RawMutex> {
 /// Generic over the writer-side mutex `M` (default [`AndersonLock`], the
 /// lock the paper names; [`rmr_mutex::McsLock`] is a drop-in alternative
 /// exercised by the test suite) and the memory backend `B` ([`Native`] by
-/// default; use [`MwmrStarvationFree::new_in`] with
-/// [`rmr_mutex::Counting`] to measure RMRs on the real implementation).
+/// default; use [`Fig3::new_in`] with [`rmr_mutex::Counting`] to measure
+/// RMRs on the real implementation). Constructors and the lock interface
+/// are [`Fig3`]'s.
 ///
 /// # Example
 ///
@@ -56,118 +44,7 @@ pub struct WriteToken<M: RawMutex> {
 /// let w = lock.write_lock(Pid::from_index(3));
 /// lock.write_unlock(Pid::from_index(3), w);
 /// ```
-pub struct MwmrStarvationFree<M: RawMutex = AndersonLock, B: Backend = Native> {
-    swmr: SwmrWriterPriority<B>,
-    mutex: M,
-    max_processes: usize,
-}
-
-impl MwmrStarvationFree<AndersonLock> {
-    /// Creates a lock for up to `max_processes` concurrently registered
-    /// processes, using an [`AndersonLock`] sized accordingly as `M`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_processes == 0`.
-    pub fn new(max_processes: usize) -> Self {
-        Self::with_mutex(AndersonLock::new(max_processes), max_processes)
-    }
-}
-
-impl<B: Backend> MwmrStarvationFree<AndersonLock<B>, B> {
-    /// Creates a lock for up to `max_processes` processes over the given
-    /// memory backend, with a matching-backend [`AndersonLock`] as `M` —
-    /// the whole construction (inner Figure 1 *and* the mutex) is then
-    /// measured when `B` is [`rmr_mutex::Counting`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_processes == 0`.
-    pub fn new_in(max_processes: usize, backend: B) -> Self {
-        Self::with_mutex_in(AndersonLock::new_in(max_processes, backend), max_processes, backend)
-    }
-}
-
-impl<M: RawMutex> MwmrStarvationFree<M> {
-    /// Creates the lock over a caller-supplied mutex `M`.
-    ///
-    /// `M` must be starvation free with a bounded doorway (the paper's
-    /// requirements on `M`); `mutex.capacity()`, if bounded, must be at
-    /// least `max_processes`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_processes == 0` or exceeds the mutex capacity.
-    pub fn with_mutex(mutex: M, max_processes: usize) -> Self {
-        Self::with_mutex_in(mutex, max_processes, Native)
-    }
-}
-
-impl<M: RawMutex, B: Backend> MwmrStarvationFree<M, B> {
-    /// Creates the lock over a caller-supplied mutex `M` and memory backend
-    /// (same contract as [`MwmrStarvationFree::with_mutex`]; the mutex may
-    /// use a different backend than the inner Figure 1 state).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_processes == 0` or exceeds the mutex capacity.
-    pub fn with_mutex_in(mutex: M, max_processes: usize, _backend: B) -> Self {
-        assert!(max_processes > 0, "max_processes must be positive");
-        if let Some(cap) = mutex.capacity() {
-            assert!(
-                cap >= max_processes,
-                "mutex capacity {cap} below max_processes {max_processes}"
-            );
-        }
-        Self { swmr: SwmrWriterPriority::new_in(B::default()), mutex, max_processes }
-    }
-
-    /// The inner single-writer lock (for diagnostics and tests).
-    pub fn inner(&self) -> &SwmrWriterPriority<B> {
-        &self.swmr
-    }
-
-    /// True when the construction is at rest: the inner Figure 1 instance
-    /// is quiescent (the mutex `M` offers no generic freeness query, but a
-    /// held `M` implies a non-quiescent inner lock once the holder
-    /// proceeds). Checker entry point asserted by `rmr-check` at teardown;
-    /// only meaningful while no attempt is in flight.
-    pub fn is_quiescent(&self) -> bool {
-        self.swmr.is_quiescent()
-    }
-}
-
-impl<M: RawMutex, B: Backend> RawRwLock for MwmrStarvationFree<M, B> {
-    type ReadToken = ReadSession;
-    type WriteToken = WriteToken<M>;
-
-    /// `T` line 8: readers run the Figure 1 reader protocol unchanged.
-    fn read_lock(&self, _pid: Pid) -> ReadSession {
-        self.swmr.read_lock()
-    }
-
-    /// `T` line 10.
-    fn read_unlock(&self, _pid: Pid, token: ReadSession) {
-        self.swmr.read_unlock(token);
-    }
-
-    /// `T` lines 2–3: acquire `M`, then the Figure 1 writer try section.
-    fn write_lock(&self, _pid: Pid) -> WriteToken<M> {
-        let mutex_token = self.mutex.lock(); // line 2: acquire(M)
-        let session = self.swmr.write_lock(); // line 3: SW-Write-try()
-        WriteToken { session, mutex_token }
-    }
-
-    /// `T` lines 5–6: the Figure 1 writer exit, then release `M`.
-    fn write_unlock(&self, _pid: Pid, token: WriteToken<M>) {
-        self.swmr.write_unlock(token.session); // line 5: SW-Write-exit()
-        self.mutex.unlock(token.mutex_token); // line 6: release(M)
-    }
-
-    fn max_processes(&self) -> usize {
-        self.max_processes
-    }
-}
+pub type MwmrStarvationFree<M = AndersonLock, B = Native> = Fig3<SwmrWriterPriority<B>, M>;
 
 /// Readers run Figure 1's protocol unchanged, so its bounded read attempt
 /// carries over verbatim. No `RawTryRwLock`: the writer path blocks on `M`
@@ -187,28 +64,18 @@ impl<M: RawMutex, B: Backend> RawRwLock for MwmrStarvationFree<M, B> {
 /// assert!(lock.try_read_lock(Pid::from_index(1)).is_some());
 /// ```
 impl<M: RawMutex, B: Backend> RawTryReadLock for MwmrStarvationFree<M, B> {
-    fn try_read_lock(&self, _pid: Pid) -> Option<ReadSession> {
-        self.swmr.try_read_lock()
-    }
-}
-
-// SAFETY: writers serialize through the mutex `M` before entering the
-// Figure 1 writer protocol, so any number of concurrent write_lock callers
-// are mutually excluded (Theorem 3).
-unsafe impl<M: RawMutex, B: Backend> RawMultiWriter for MwmrStarvationFree<M, B> {}
-
-impl<M: RawMutex, B: Backend> fmt::Debug for MwmrStarvationFree<M, B> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("MwmrStarvationFree")
-            .field("max_processes", &self.max_processes)
-            .field("inner", &self.swmr)
-            .finish()
+    #[inline]
+    fn try_read_lock(&self, pid: Pid) -> Option<ReadSession> {
+        RawTryReadLock::try_read_lock(self.inner(), pid)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mwmr::fig3::tests as fig3;
+    use crate::raw::RawRwLock;
+    use crate::registry::Pid;
     use rmr_mutex::McsLock;
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::sync::Arc;
@@ -219,13 +86,7 @@ mod tests {
 
     #[test]
     fn single_thread_read_write_cycles() {
-        let lock = MwmrStarvationFree::new(4);
-        for _ in 0..50 {
-            let r = lock.read_lock(pid(0));
-            lock.read_unlock(pid(0), r);
-            let w = lock.write_lock(pid(0));
-            lock.write_unlock(pid(0), w);
-        }
+        fig3::read_write_cycles(MwmrStarvationFree::new(4));
     }
 
     #[test]
@@ -236,59 +97,17 @@ mod tests {
 
     #[test]
     fn works_over_mcs_mutex_too() {
-        let lock = MwmrStarvationFree::with_mutex(McsLock::new(), 4);
-        let w = lock.write_lock(pid(1));
-        lock.write_unlock(pid(1), w);
-        let r = lock.read_lock(pid(2));
-        lock.read_unlock(pid(2), r);
-    }
-
-    fn exclusion_stress<M: RawMutex + 'static>(lock: MwmrStarvationFree<M>) {
-        let lock = Arc::new(lock);
-        let readers_in = Arc::new(AtomicUsize::new(0));
-        let writers_in = Arc::new(AtomicUsize::new(0));
-        let mut handles = Vec::new();
-        for i in 0..2 {
-            let lock = Arc::clone(&lock);
-            let readers_in = Arc::clone(&readers_in);
-            let writers_in = Arc::clone(&writers_in);
-            handles.push(std::thread::spawn(move || {
-                for _ in 0..100 {
-                    let w = lock.write_lock(pid(i));
-                    assert_eq!(writers_in.fetch_add(1, Ordering::SeqCst), 0, "two writers in CS");
-                    assert_eq!(readers_in.load(Ordering::SeqCst), 0, "reader with writer in CS");
-                    writers_in.fetch_sub(1, Ordering::SeqCst);
-                    lock.write_unlock(pid(i), w);
-                }
-            }));
-        }
-        for i in 2..6 {
-            let lock = Arc::clone(&lock);
-            let readers_in = Arc::clone(&readers_in);
-            let writers_in = Arc::clone(&writers_in);
-            handles.push(std::thread::spawn(move || {
-                for _ in 0..100 {
-                    let r = lock.read_lock(pid(i));
-                    readers_in.fetch_add(1, Ordering::SeqCst);
-                    assert_eq!(writers_in.load(Ordering::SeqCst), 0, "writer with reader in CS");
-                    readers_in.fetch_sub(1, Ordering::SeqCst);
-                    lock.read_unlock(pid(i), r);
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
+        fig3::read_write_cycles(MwmrStarvationFree::with_mutex(McsLock::new(), 4));
     }
 
     #[test]
     fn exclusion_stress_anderson() {
-        exclusion_stress(MwmrStarvationFree::new(8));
+        fig3::exclusion_stress(MwmrStarvationFree::new(8));
     }
 
     #[test]
     fn exclusion_stress_mcs() {
-        exclusion_stress(MwmrStarvationFree::with_mutex(McsLock::new(), 8));
+        fig3::exclusion_stress(MwmrStarvationFree::with_mutex(McsLock::new(), 8));
     }
 
     #[test]

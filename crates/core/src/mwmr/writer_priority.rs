@@ -137,7 +137,7 @@ impl<B: Backend> MwmrWriterPriority<AndersonLock<B>, B> {
 
 impl<M: RawMutex> MwmrWriterPriority<M> {
     /// Creates the lock over a caller-supplied mutex `M` (same requirements
-    /// as [`super::MwmrStarvationFree::with_mutex`]).
+    /// as [`Fig3`](super::Fig3)'s).
     ///
     /// `W-token` starts at side 1 — the complement of the initial `D = 0` —
     /// so the first writer's proxy doorway targets the side whose previous
@@ -162,13 +162,7 @@ impl<M: RawMutex, B: Backend> MwmrWriterPriority<M, B> {
     ///
     /// Panics if `max_processes == 0` or exceeds the mutex capacity.
     pub fn with_mutex_in(mutex: M, max_processes: usize, _backend: B) -> Self {
-        assert!(max_processes > 0, "max_processes must be positive");
-        if let Some(cap) = mutex.capacity() {
-            assert!(
-                cap >= max_processes,
-                "mutex capacity {cap} below max_processes {max_processes}"
-            );
-        }
+        super::assert_mutex_fits(&mutex, max_processes);
         Self {
             swmr: SwmrWriterPriority::new_in(B::default()),
             mutex,
@@ -352,6 +346,18 @@ mod tests {
 
     fn pid(i: usize) -> Pid {
         Pid::from_index(i)
+    }
+
+    #[test]
+    #[should_panic(expected = "must be positive")]
+    fn zero_processes_panics() {
+        let _ = MwmrWriterPriority::new(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "mutex capacity 2 below max_processes 4")]
+    fn mutex_below_max_processes_panics() {
+        let _ = MwmrWriterPriority::with_mutex(AndersonLock::new(2), 4);
     }
 
     #[test]

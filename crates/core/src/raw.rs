@@ -27,9 +27,9 @@
 //! |---|---|---|---|---|---|
 //! | `SwmrWriterPriority` (Fig. 1) | ✓ | ✓ | — irrevocable doorway | — single writer | ✓ queued (doorway + helper cancel) |
 //! | `SwmrReaderPriority` (Fig. 2) | ✓ | ✓ | — irrevocable doorway | — single writer | — readers overtake by design |
-//! | `MwmrStarvationFree` (Fig. 3) | ✓ | ✓ | — irrevocable doorway | ✓ | — writer role queues in the mutex |
+//! | `MwmrStarvationFree` (Fig. 3 ∘ Fig. 1) | ✓ | ✓ | — irrevocable doorway | ✓ | — writer role queues in the mutex |
 //! | `MwmrWriterPriority` (Fig. 4) | ✓ | ✓ | — irrevocable doorway | ✓ | — writer role queues in the mutex |
-//! | `MwmrReaderPriority` (Fig. 5) | ✓ | ✓ | — irrevocable doorway | ✓ | — readers overtake by design |
+//! | `MwmrReaderPriority` (Fig. 3 ∘ Fig. 2) | ✓ | ✓ | — irrevocable doorway | ✓ | — readers overtake by design |
 //! | `TicketRwLock` | ✓ | ✓ | ✓ | ✓ | ✓ queued (real FIFO ticket) |
 //! | `StdRwLock`, `CentralizedRwLock`, `DistributedFlagRwLock`, `TournamentRwLock` | ✓ | ✓ | ✓ | ✓ | ✓ advisory (`QUEUED = false`) |
 //! | `Bravo<L>` | ✓ | where `L` is | where `L` is | where `L` is | where `L` is (+ revocation stage) |
@@ -62,8 +62,8 @@
 //! holds a doorway between polls, so the lock counts it like a queued
 //! process and continuously overlapping readers cannot starve it. The
 //! historical `RawMultiWriter`-gated `write_blocking` endpoint survives
-//! only as a deprecated escape hatch for the Fig. 3–5 multi-writer locks,
-//! whose writer role queues inside an embedded mutex.
+//! only as a deprecated escape hatch for the Fig. 3 ∘ {1, 2} and Fig. 4
+//! multi-writer locks, whose writer role queues inside an embedded mutex.
 
 use crate::registry::Pid;
 

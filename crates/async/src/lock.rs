@@ -495,12 +495,16 @@ impl<T: ?Sized, L: RawMultiWriter, B: Backend, R: Recorder> AsyncRwLock<T, L, B,
     /// revocable doorway, so it predates — and forfeits — the tokened
     /// fairness story. `write().await` (or
     /// [`block_on`](crate::exec::block_on)`(lock.write())` from sync
-    /// code) now works on every lock with a doorway, including the core
-    /// SWMR locks this method was the escape hatch for.
+    /// code) works on every lock with a [`RawParkedWaiters`] doorway.
+    /// This method remains the only async-tier writer for the
+    /// multi-writer locks without one: Fig. 3 ∘ {1, 2}
+    /// (`MwmrStarvationFree`, `MwmrReaderPriority`), Fig. 4
+    /// (`MwmrWriterPriority`) and `CourtoisWriterPrefRwLock`.
     #[deprecated(
         since = "0.1.0",
-        note = "use write().await (or block_on(lock.write()) from sync code); every lock now \
-                carries a RawParkedWaiters doorway"
+        note = "use write().await (or block_on(lock.write()) from sync code) where the raw lock \
+                has a RawParkedWaiters doorway; only the Fig. 3 ∘ {1, 2}, Fig. 4 and Courtois \
+                multi-writer locks lack one"
     )]
     pub fn write_blocking(&self) -> AsyncWriteGuard<'_, T, L, B, R> {
         let pid = self.allocate_pid();

@@ -77,8 +77,9 @@
 //! locks (`Bravo<L>`), and plugs into [`RwLock`], the RMR accounting and
 //! the `rmr-check` schedule explorer unchanged. [`observed::Observed`]
 //! does the same for observability: it reports every passage of any raw
-//! lock to an `rmr-obs` recorder, and the typed front end carries the
-//! same hooks directly ([`RwLock::with_recorder`]).
+//! lock to an `rmr-obs` recorder. It is the only place the passage hooks
+//! are written: the typed front end holds its raw lock as an
+//! `Observed<L, R>` ([`RwLock::with_recorder`] picks the recorder).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

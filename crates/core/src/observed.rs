@@ -1,9 +1,11 @@
 //! [`Observed`] — a capability-preserving raw-lock wrapper that reports
 //! every passage to an [`rmr_obs::Recorder`].
 //!
-//! This is the instrumentation story for code that works at the *raw*
-//! tier (benchmark probes, compositions like
-//! `Observed<Bravo<…>>`): wrap any [`RawRwLock`] and every acquire,
+//! This is the workspace's one implementation of the passage hooks. The
+//! typed [`RwLock<T, L, R>`](crate::RwLock) holds its raw lock as an
+//! `Observed<L, R>` and has no hooks of its own, and code at the *raw*
+//! tier (benchmark probes, compositions like `Observed<Bravo<…>>`) wraps
+//! a lock by hand. Wrap any [`RawRwLock`] and every acquire,
 //! release and bounded attempt is counted and classified
 //! contended-vs-uncontended, and the acquisitions the recorder chooses to
 //! time ([`Recorder::stamp`]: 1 in [`rmr_obs::SAMPLE_PERIOD`] per pid for
@@ -30,6 +32,10 @@
 //! performs zero inner-lock operations. Only 1 passage in
 //! `rmr_obs::SAMPLE_PERIOD` per pid also reads the clock.
 //!
+//! The passage methods are `#[inline]`, and the rare contended or timed
+//! work is the cold `acquire_end_tail`, so the typed read keeps its
+//! two-call shape (DESIGN.md §3).
+//!
 //! Contention is classified through the spin seam
 //! ([`rmr_mutex::spin::thread_spin_tally`]): an acquisition that burned
 //! at least one futile spin iteration is contended. The bounded try
@@ -45,7 +51,7 @@ use std::fmt;
 /// Begin-of-acquisition sample: the recorder's start stamp (`None` on a
 /// passage the recorder counts but does not time) + this thread's spin
 /// tally. Only taken when `R::ENABLED`.
-pub(crate) struct AcquireSample {
+struct AcquireSample {
     t0: Option<u64>,
     spins0: u64,
 }
@@ -61,7 +67,7 @@ fn acquire_event(write: bool) -> Event {
 /// Stamps (if the recorder samples this passage) and reads the spin
 /// tally before a blocking acquisition.
 #[inline]
-pub(crate) fn acquire_begin<R: Recorder>(rec: &R, pid: usize, write: bool) -> AcquireSample {
+fn acquire_begin<R: Recorder>(rec: &R, pid: usize, write: bool) -> AcquireSample {
     AcquireSample { t0: rec.stamp(pid, acquire_event(write)), spins0: spin::thread_spin_tally() }
 }
 
@@ -69,7 +75,7 @@ pub(crate) fn acquire_begin<R: Recorder>(rec: &R, pid: usize, write: bool) -> Ac
 /// contended classification + spin count (when any iteration was
 /// futile), and — on a timed passage — the latency sample.
 #[inline]
-pub(crate) fn acquire_end<R: Recorder>(rec: &R, pid: usize, write: bool, s: AcquireSample) {
+fn acquire_end<R: Recorder>(rec: &R, pid: usize, write: bool, s: AcquireSample) {
     let spun = spin::thread_spin_tally().saturating_sub(s.spins0);
     rec.count(pid, acquire_event(write));
     if spun > 0 || s.t0.is_some() {
@@ -139,6 +145,7 @@ impl<L: RawRwLock, R: Recorder> RawRwLock for Observed<L, R> {
     type ReadToken = L::ReadToken;
     type WriteToken = L::WriteToken;
 
+    #[inline]
     fn read_lock(&self, pid: Pid) -> Self::ReadToken {
         if R::ENABLED {
             let s = acquire_begin(&self.recorder, pid.index(), false);
@@ -150,6 +157,7 @@ impl<L: RawRwLock, R: Recorder> RawRwLock for Observed<L, R> {
         }
     }
 
+    #[inline]
     fn read_unlock(&self, pid: Pid, token: Self::ReadToken) {
         self.inner.read_unlock(pid, token);
         if R::ENABLED {
@@ -157,6 +165,7 @@ impl<L: RawRwLock, R: Recorder> RawRwLock for Observed<L, R> {
         }
     }
 
+    #[inline]
     fn write_lock(&self, pid: Pid) -> Self::WriteToken {
         if R::ENABLED {
             let s = acquire_begin(&self.recorder, pid.index(), true);
@@ -168,6 +177,7 @@ impl<L: RawRwLock, R: Recorder> RawRwLock for Observed<L, R> {
         }
     }
 
+    #[inline]
     fn write_unlock(&self, pid: Pid, token: Self::WriteToken) {
         self.inner.write_unlock(pid, token);
         if R::ENABLED {
@@ -181,6 +191,7 @@ impl<L: RawRwLock, R: Recorder> RawRwLock for Observed<L, R> {
 }
 
 impl<L: RawTryReadLock, R: Recorder> RawTryReadLock for Observed<L, R> {
+    #[inline]
     fn try_read_lock(&self, pid: Pid) -> Option<Self::ReadToken> {
         let token = self.inner.try_read_lock(pid);
         if R::ENABLED {
@@ -192,6 +203,7 @@ impl<L: RawTryReadLock, R: Recorder> RawTryReadLock for Observed<L, R> {
 }
 
 impl<L: RawTryRwLock, R: Recorder> RawTryRwLock for Observed<L, R> {
+    #[inline]
     fn try_write_lock(&self, pid: Pid) -> Option<Self::WriteToken> {
         let token = self.inner.try_write_lock(pid);
         if R::ENABLED {

@@ -26,10 +26,10 @@
 //! exposes [`RwLock::try_read`] / [`RwLock::try_write`].
 
 use crate::mwmr::{MwmrReaderPriority, MwmrStarvationFree, MwmrWriterPriority};
-use crate::observed::{acquire_begin, acquire_end};
+use crate::observed::Observed;
 use crate::raw::{RawMultiWriter, RawRwLock, RawTryReadLock, RawTryRwLock};
 use crate::registry::{Pid, PidRegistry, RegistryFull};
-use rmr_obs::{Event, NoopRecorder, Recorder};
+use rmr_obs::{NoopRecorder, Recorder};
 use std::cell::{RefCell, UnsafeCell};
 use std::collections::HashMap;
 use std::fmt;
@@ -369,10 +369,13 @@ pub fn release_pid(registry: &Arc<PidRegistry>, pid: Pid, source: PidSource) {
 /// # Observability
 ///
 /// The third type parameter is an `rmr-obs` [`Recorder`], defaulted to
-/// [`NoopRecorder`]: every hook sits behind `if R::ENABLED { … }`, which
-/// const-folds away, so the default lock is bit-identical to the
-/// uninstrumented one (the `Counting` backend proves it op for op in
-/// `observed::tests::noop_recorder_footprint_is_identical_op_for_op`).
+/// [`NoopRecorder`]. The lock holds its raw lock as an
+/// [`Observed<L, R>`](Observed), and every passage (leased or handle,
+/// blocking or try, and each guard's release) goes through that
+/// wrapper's hooks: this type has none of its own. With the default
+/// recorder they const-fold away, so the default lock is bit-identical
+/// to the uninstrumented one (the `Counting` backend proves it op for op
+/// in `observed::tests::noop_recorder_footprint_is_identical_op_for_op`).
 /// [`RwLock::with_recorder`] swaps in a live recorder — typically an
 /// `Arc<StatsRecorder>` — and every passage is then counted and
 /// classified contended/uncontended, and 1 in `rmr_obs::SAMPLE_PERIOD`
@@ -380,9 +383,8 @@ pub fn release_pid(registry: &Arc<PidRegistry>, pid: Pid, source: PidSource) {
 /// store to the pid's recorder slot, or a `fetch_add` from any other
 /// thread that records for that pid.
 pub struct RwLock<T: ?Sized, L, R = NoopRecorder> {
-    pub(crate) raw: L,
+    pub(crate) raw: Observed<L, R>,
     pub(crate) registry: Arc<PidRegistry>,
-    pub(crate) recorder: R,
     // Must stay the last field: `T: ?Sized` requires the unsized field in
     // tail position.
     pub(crate) data: UnsafeCell<T>,
@@ -465,17 +467,17 @@ impl<T, L: RawRwLock> RwLock<T, L> {
             raw.max_processes()
         );
         Self {
-            raw,
+            raw: Observed::new(raw, NoopRecorder),
             registry: Arc::new(PidRegistry::new(capacity)),
-            recorder: NoopRecorder,
             data: UnsafeCell::new(value),
         }
     }
 }
 
 impl<T, L: RawRwLock, R: Recorder> RwLock<T, L, R> {
-    /// Replaces the lock's recorder, re-typing the lock: every subsequent
-    /// passage (leased or handle, blocking or try) reports to `recorder`.
+    /// Replaces the lock's recorder, re-typing the lock: the raw lock is
+    /// re-wrapped as `Observed<L, R2>`, so every subsequent passage
+    /// (leased or handle, blocking or try) reports to `recorder`.
     ///
     /// Builder-style, because the recorder is a *type* parameter — that is
     /// what lets the disabled hooks const-fold to nothing instead of
@@ -495,7 +497,8 @@ impl<T, L: RawRwLock, R: Recorder> RwLock<T, L, R> {
     /// assert_eq!(rec.counter(Event::WriteRelease), 1);
     /// ```
     pub fn with_recorder<R2: Recorder>(self, recorder: R2) -> RwLock<T, L, R2> {
-        RwLock { raw: self.raw, registry: self.registry, recorder, data: self.data }
+        let (raw, _) = self.raw.into_parts();
+        RwLock { raw: Observed::new(raw, recorder), registry: self.registry, data: self.data }
     }
 
     /// Consumes the lock, returning the protected value.
@@ -582,8 +585,9 @@ impl<T: ?Sized, L: RawRwLock, R: Recorder> RwLock<T, L, R> {
     /// ```
     #[inline]
     pub fn read(&self) -> ReadGuard<'_, T, L, R> {
-        let (pid, source) = self.lease().unwrap_or_else(|e| panic!("{}", lease_panic(e)));
-        let token = self.locked_read(pid);
+        let (pid, source) =
+            lease_pid(&self.registry).unwrap_or_else(|e| panic!("{}", lease_panic(e)));
+        let token = self.raw.read_lock(pid);
         self.read_guard(pid, source, token)
     }
 
@@ -600,12 +604,12 @@ impl<T: ?Sized, L: RawRwLock, R: Recorder> RwLock<T, L, R> {
 
     /// The underlying raw lock.
     pub fn raw(&self) -> &L {
-        &self.raw
+        self.raw.inner()
     }
 
     /// The lock's recorder (the default is the inert [`NoopRecorder`]).
     pub fn recorder(&self) -> &R {
-        &self.recorder
+        self.raw.recorder()
     }
 
     /// Number of threads that may participate simultaneously.
@@ -620,47 +624,6 @@ impl<T: ?Sized, L: RawRwLock, R: Recorder> RwLock<T, L, R> {
     /// registry tests assert.
     pub fn registered(&self) -> usize {
         self.registry.allocated()
-    }
-
-    /// Leases a pid for the calling thread — see [`lease_pid`].
-    #[inline]
-    fn lease(&self) -> Result<(Pid, PidSource), RegistryFull> {
-        lease_pid(&self.registry)
-    }
-
-    /// Returns a pid obtained from [`RwLock::lease`] without a guard having
-    /// consumed it (the raw try-acquire failed).
-    fn unlease(&self, pid: Pid, source: PidSource) {
-        release_pid(&self.registry, pid, source);
-    }
-
-    /// The blocking read acquisition, with the observability hooks; shared
-    /// by the leased ([`RwLock::read`]) and pinned ([`LockHandle::read`])
-    /// paths. With the default [`NoopRecorder`] the `R::ENABLED` branch
-    /// const-folds to the bare `read_lock` call.
-    #[inline]
-    fn locked_read(&self, pid: Pid) -> L::ReadToken {
-        if R::ENABLED {
-            let s = acquire_begin(&self.recorder, pid.index(), false);
-            let token = self.raw.read_lock(pid);
-            acquire_end(&self.recorder, pid.index(), false, s);
-            token
-        } else {
-            self.raw.read_lock(pid)
-        }
-    }
-
-    /// The blocking write acquisition, with the observability hooks —
-    /// see [`RwLock::locked_read`].
-    fn locked_write(&self, pid: Pid) -> L::WriteToken {
-        if R::ENABLED {
-            let s = acquire_begin(&self.recorder, pid.index(), true);
-            let token = self.raw.write_lock(pid);
-            acquire_end(&self.recorder, pid.index(), true, s);
-            token
-        } else {
-            self.raw.write_lock(pid)
-        }
     }
 
     pub(crate) fn read_guard(
@@ -721,8 +684,9 @@ impl<T: ?Sized, L: RawMultiWriter, R: Recorder> RwLock<T, L, R> {
     /// assert_eq!(*lock.read(), 5);
     /// ```
     pub fn write(&self) -> WriteGuard<'_, T, L, R> {
-        let (pid, source) = self.lease().unwrap_or_else(|e| panic!("{}", lease_panic(e)));
-        let token = self.locked_write(pid);
+        let (pid, source) =
+            lease_pid(&self.registry).unwrap_or_else(|e| panic!("{}", lease_panic(e)));
+        let token = self.raw.write_lock(pid);
         self.write_guard(pid, source, token)
     }
 
@@ -758,16 +722,11 @@ impl<T: ?Sized, L: RawTryReadLock, R: Recorder> RwLock<T, L, R> {
     /// ```
     #[must_use = "a silently dropped guard releases the lock at once; check the Option"]
     pub fn try_read(&self) -> Option<ReadGuard<'_, T, L, R>> {
-        let (pid, source) = self.lease().ok()?;
-        let token = self.raw.try_read_lock(pid);
-        if R::ENABLED {
-            let ev = if token.is_some() { Event::TryReadOk } else { Event::TryReadFail };
-            self.recorder.count(pid.index(), ev);
-        }
-        match token {
+        let (pid, source) = lease_pid(&self.registry).ok()?;
+        match self.raw.try_read_lock(pid) {
             Some(token) => Some(self.read_guard(pid, source, token)),
             None => {
-                self.unlease(pid, source);
+                release_pid(&self.registry, pid, source);
                 None
             }
         }
@@ -795,16 +754,11 @@ impl<T: ?Sized, L: RawTryRwLock + RawMultiWriter, R: Recorder> RwLock<T, L, R> {
     /// ```
     #[must_use = "a silently dropped guard releases the lock at once; check the Option"]
     pub fn try_write(&self) -> Option<WriteGuard<'_, T, L, R>> {
-        let (pid, source) = self.lease().ok()?;
-        let token = self.raw.try_write_lock(pid);
-        if R::ENABLED {
-            let ev = if token.is_some() { Event::TryWriteOk } else { Event::TryWriteFail };
-            self.recorder.count(pid.index(), ev);
-        }
-        match token {
+        let (pid, source) = lease_pid(&self.registry).ok()?;
+        match self.raw.try_write_lock(pid) {
             Some(token) => Some(self.write_guard(pid, source, token)),
             None => {
-                self.unlease(pid, source);
+                release_pid(&self.registry, pid, source);
                 None
             }
         }
@@ -842,7 +796,7 @@ impl<'l, T: ?Sized, L: RawRwLock, R: Recorder> LockHandle<'l, T, L, R> {
 
     /// Acquires the lock for reading.
     pub fn read(&mut self) -> ReadGuard<'_, T, L, R> {
-        let token = self.lock.locked_read(self.pid);
+        let token = self.lock.raw.read_lock(self.pid);
         self.lock.read_guard(self.pid, PidSource::Handle, token)
     }
 
@@ -860,7 +814,7 @@ impl<'l, T: ?Sized, L: RawMultiWriter, R: Recorder> LockHandle<'l, T, L, R> {
     /// (the single-writer algorithms go through
     /// [`SwmrWriter`](crate::swmr_rwlock::SwmrWriter) instead).
     pub fn write(&mut self) -> WriteGuard<'_, T, L, R> {
-        let token = self.lock.locked_write(self.pid);
+        let token = self.lock.raw.write_lock(self.pid);
         self.lock.write_guard(self.pid, PidSource::Handle, token)
     }
 
@@ -885,12 +839,8 @@ impl<'l, T: ?Sized, L: RawTryReadLock, R: Recorder> LockHandle<'l, T, L, R> {
     /// ```
     #[must_use = "a silently dropped guard releases the lock at once; check the Option"]
     pub fn try_read(&mut self) -> Option<ReadGuard<'_, T, L, R>> {
-        let token = self.lock.raw.try_read_lock(self.pid);
-        if R::ENABLED {
-            let ev = if token.is_some() { Event::TryReadOk } else { Event::TryReadFail };
-            self.lock.recorder.count(self.pid.index(), ev);
-        }
-        Some(self.lock.read_guard(self.pid, PidSource::Handle, token?))
+        let token = self.lock.raw.try_read_lock(self.pid)?;
+        Some(self.lock.read_guard(self.pid, PidSource::Handle, token))
     }
 }
 
@@ -898,12 +848,8 @@ impl<'l, T: ?Sized, L: RawTryRwLock + RawMultiWriter, R: Recorder> LockHandle<'l
     /// Attempts to acquire the lock for writing without blocking.
     #[must_use = "a silently dropped guard releases the lock at once; check the Option"]
     pub fn try_write(&mut self) -> Option<WriteGuard<'_, T, L, R>> {
-        let token = self.lock.raw.try_write_lock(self.pid);
-        if R::ENABLED {
-            let ev = if token.is_some() { Event::TryWriteOk } else { Event::TryWriteFail };
-            self.lock.recorder.count(self.pid.index(), ev);
-        }
-        Some(self.lock.write_guard(self.pid, PidSource::Handle, token?))
+        let token = self.lock.raw.try_write_lock(self.pid)?;
+        Some(self.lock.write_guard(self.pid, PidSource::Handle, token))
     }
 }
 
@@ -959,9 +905,6 @@ impl<T: ?Sized, L: RawRwLock, R: Recorder> Drop for ReadGuard<'_, T, L, R> {
     fn drop(&mut self) {
         let token = self.token.take().expect("read token taken twice");
         self.lock.raw.read_unlock(self.pid, token);
-        if R::ENABLED {
-            self.lock.recorder.count(self.pid.index(), Event::ReadRelease);
-        }
         release_pid(&self.lock.registry, self.pid, self.source);
     }
 }
@@ -1011,9 +954,6 @@ impl<T: ?Sized, L: RawRwLock, R: Recorder> Drop for WriteGuard<'_, T, L, R> {
     fn drop(&mut self) {
         let token = self.token.take().expect("write token taken twice");
         self.lock.raw.write_unlock(self.pid, token);
-        if R::ENABLED {
-            self.lock.recorder.count(self.pid.index(), Event::WriteRelease);
-        }
         release_pid(&self.lock.registry, self.pid, self.source);
     }
 }
@@ -1023,10 +963,6 @@ impl<T: fmt::Debug + ?Sized, L: RawRwLock, R: Recorder> fmt::Debug for WriteGuar
         f.debug_tuple("WriteGuard").field(&&**self).finish()
     }
 }
-
-// Crate-internal alias so the SWMR front end can build guards around
-// pinned pids without duplicating the machinery.
-pub(crate) use PidSource as GuardPidSource;
 
 #[cfg(test)]
 mod tests {

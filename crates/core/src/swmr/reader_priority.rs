@@ -202,6 +202,7 @@ impl<B: Backend> SwmrReaderPriority<B> {
     ///
     /// Blocks until every registered reader has left; new readers may keep
     /// arriving and overtake the writer indefinitely (reader priority).
+    #[inline]
     pub fn write_lock(&self, pid: Pid) -> WriteSession {
         debug_assert!(
             !self.session_active.load(Ordering::SeqCst),
@@ -228,6 +229,7 @@ impl<B: Backend> SwmrReaderPriority<B> {
     }
 
     /// The writer's exit section (lines 7–9). Bounded: three stores.
+    #[inline]
     pub fn write_unlock(&self, pid: Pid, session: WriteSession) {
         let was = self.session_active.swap(false, Ordering::SeqCst);
         debug_assert!(was, "write_unlock without an open write session");
@@ -252,6 +254,7 @@ impl<B: Backend> SwmrReaderPriority<B> {
     /// The pid-stamping CAS on line 22 is subtle feature (A): it invalidates
     /// any in-flight line-15 promotion that observed `C = 0` before this
     /// reader registered, preserving mutual exclusion.
+    #[inline]
     pub fn read_lock(&self, pid: Pid) -> ReadSession {
         // SeqCst F&A: the registration must be totally ordered against the
         // writer's Permit ← false / C scan (site F2-PERMIT).
@@ -306,6 +309,7 @@ impl<B: Backend> SwmrReaderPriority<B> {
     /// assert!(lock.try_read_lock(reader).is_none(), "writer holds the CS");
     /// lock.write_unlock(writer, w);
     /// ```
+    #[inline]
     pub fn try_read_lock(&self, pid: Pid) -> Option<ReadSession> {
         // Orderings as in `read_lock`; see the annotations there.
         self.count.fetch_add(1, MemOrdering::SeqCst); // line 18: F&A(C, 1)
@@ -332,6 +336,7 @@ impl<B: Backend> SwmrReaderPriority<B> {
 
     /// A reader's exit section (lines 26–27). Bounded: the decrement plus
     /// one `Promote` (at most three more shared-memory operations).
+    #[inline]
     pub fn read_unlock(&self, pid: Pid, session: ReadSession) {
         let _ = session;
         // SeqCst: the retirement is the F&A half of site F2-PERMIT — a
@@ -410,18 +415,22 @@ impl<B: Backend> RawRwLock for SwmrReaderPriority<B> {
     type ReadToken = ReadSession;
     type WriteToken = WriteSession;
 
+    #[inline]
     fn read_lock(&self, pid: Pid) -> ReadSession {
         SwmrReaderPriority::read_lock(self, pid)
     }
 
+    #[inline]
     fn read_unlock(&self, pid: Pid, token: ReadSession) {
         SwmrReaderPriority::read_unlock(self, pid, token);
     }
 
+    #[inline]
     fn write_lock(&self, pid: Pid) -> WriteSession {
         SwmrReaderPriority::write_lock(self, pid)
     }
 
+    #[inline]
     fn write_unlock(&self, pid: Pid, token: WriteSession) {
         SwmrReaderPriority::write_unlock(self, pid, token);
     }
@@ -432,6 +441,7 @@ impl<B: Backend> RawRwLock for SwmrReaderPriority<B> {
 }
 
 impl<B: Backend> RawTryReadLock for SwmrReaderPriority<B> {
+    #[inline]
     fn try_read_lock(&self, pid: Pid) -> Option<ReadSession> {
         SwmrReaderPriority::try_read_lock(self, pid)
     }

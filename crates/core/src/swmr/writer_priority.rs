@@ -350,6 +350,7 @@ impl<B: Backend> SwmrWriterPriority<B> {
 
     /// The writer's whole try section: doorway + waiting room. Resolves an
     /// abandoned asynchronous passage first (see [`Self::start_write`]).
+    #[inline]
     pub fn write_lock(&self) -> WriteSession {
         let doorway = self.start_write();
         self.finish_write(doorway)
@@ -568,6 +569,7 @@ impl<B: Backend> SwmrWriterPriority<B> {
     }
 
     /// Alias for [`Self::writer_exit`], for symmetry with `write_lock`.
+    #[inline]
     pub fn write_unlock(&self, session: WriteSession) {
         self.writer_exit(session);
     }
@@ -617,6 +619,7 @@ impl<B: Backend> SwmrWriterPriority<B> {
     /// Satisfies concurrent entering (P5): when the writer role is in the
     /// remainder section, `Gate[D]` is open and the reader passes straight
     /// through in a bounded number of steps.
+    #[inline]
     pub fn read_lock(&self) -> ReadSession {
         let d = self.reader_doorway();
         // line 24: wait till Gate[d]. Acquire pairs with the writer's
@@ -647,6 +650,7 @@ impl<B: Backend> SwmrWriterPriority<B> {
     /// assert!(lock.try_read_lock().is_none(), "writer holds the CS");
     /// lock.write_unlock(w);
     /// ```
+    #[inline]
     pub fn try_read_lock(&self) -> Option<ReadSession> {
         let d = self.reader_doorway();
         // Acquire: an open gate admits us exactly as at line 24.
@@ -661,6 +665,7 @@ impl<B: Backend> SwmrWriterPriority<B> {
 
     /// A reader's exit section (lines 26–30). Bounded (P2): at most four
     /// shared-memory operations, no waiting.
+    #[inline]
     pub fn read_unlock(&self, session: ReadSession) {
         let d = session.side;
         // SeqCst F&As: the exit-section counters run the same
@@ -785,18 +790,22 @@ impl<B: Backend> RawRwLock for SwmrWriterPriority<B> {
     type ReadToken = ReadSession;
     type WriteToken = WriteSession;
 
+    #[inline]
     fn read_lock(&self, _pid: Pid) -> ReadSession {
         SwmrWriterPriority::read_lock(self)
     }
 
+    #[inline]
     fn read_unlock(&self, _pid: Pid, token: ReadSession) {
         SwmrWriterPriority::read_unlock(self, token);
     }
 
+    #[inline]
     fn write_lock(&self, _pid: Pid) -> WriteSession {
         SwmrWriterPriority::write_lock(self)
     }
 
+    #[inline]
     fn write_unlock(&self, _pid: Pid, token: WriteSession) {
         SwmrWriterPriority::write_unlock(self, token);
     }
@@ -807,6 +816,7 @@ impl<B: Backend> RawRwLock for SwmrWriterPriority<B> {
 }
 
 impl<B: Backend> RawTryReadLock for SwmrWriterPriority<B> {
+    #[inline]
     fn try_read_lock(&self, _pid: Pid) -> Option<ReadSession> {
         SwmrWriterPriority::try_read_lock(self)
     }

@@ -14,7 +14,7 @@
 
 use crate::raw::{RawRwLock, RawTryReadLock};
 use crate::registry::{Pid, RegistryFull};
-use crate::rwlock::{GuardPidSource, ReadGuard, RwLock, WriteGuard};
+use crate::rwlock::{PidSource, ReadGuard, RwLock, WriteGuard};
 use crate::swmr::reader_priority::SwmrReaderPriority;
 use crate::swmr::writer_priority::SwmrWriterPriority;
 use std::fmt;
@@ -101,7 +101,7 @@ impl<T, P: RawRwLock> SwmrWriter<T, P> {
     /// Acquires the write lock.
     pub fn write(&mut self) -> SwmrWriteGuard<'_, T, P> {
         let token = self.shared.raw.write_lock(self.pid);
-        self.shared.write_guard(self.pid, GuardPidSource::Handle, token)
+        self.shared.write_guard(self.pid, PidSource::Handle, token)
     }
 }
 
@@ -156,7 +156,7 @@ impl<T, P: RawRwLock> SwmrReader<T, P> {
     /// Acquires the read lock.
     pub fn read(&mut self) -> SwmrReadGuard<'_, T, P> {
         let token = self.shared.raw.read_lock(self.pid);
-        self.shared.read_guard(self.pid, GuardPidSource::Handle, token)
+        self.shared.read_guard(self.pid, PidSource::Handle, token)
     }
 }
 
@@ -180,7 +180,7 @@ impl<T, P: RawTryReadLock> SwmrReader<T, P> {
     /// ```
     pub fn try_read(&mut self) -> Option<SwmrReadGuard<'_, T, P>> {
         let token = self.shared.raw.try_read_lock(self.pid)?;
-        Some(self.shared.read_guard(self.pid, GuardPidSource::Handle, token))
+        Some(self.shared.read_guard(self.pid, PidSource::Handle, token))
     }
 }
 

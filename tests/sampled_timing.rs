@@ -7,7 +7,7 @@ use rmrw::async_lock::exec::block_on;
 use rmrw::async_lock::AsyncRwLock;
 use rmrw::baselines::TicketRwLock;
 use rmrw::core::mwmr::MwmrStarvationFree;
-use rmrw::core::{Observed, Pid, RawRwLock, ReadGuard, RwLock};
+use rmrw::core::{Observed, Pid, RawMultiWriter, RawRwLock, RawTryRwLock, ReadGuard, RwLock};
 use rmrw::obs::{Event, Metric, Recorder, StatsRecorder, TickClock, TraceEvent, SAMPLE_PERIOD};
 use std::cell::RefCell;
 use std::sync::{Arc, Barrier};
@@ -190,4 +190,51 @@ fn a_guard_dropped_during_thread_teardown_is_counted() {
     .unwrap();
     assert_eq!(rec.counter(Event::ReadAcquire), N + 1);
     assert_eq!(rec.counter(Event::ReadRelease), N + 1);
+}
+
+/// One thread's leased and handle passages, blocking and try, with each
+/// try kind both granted and refused (refused while this thread holds
+/// the other guard on its leased pid).
+fn try_script<L: RawTryRwLock + RawMultiWriter, R: Recorder>(lock: &RwLock<u64, L, R>) {
+    let mut h = lock.register().expect("capacity");
+    drop(lock.read());
+    *lock.write() += 1;
+    drop(h.read());
+    *h.write() += 1;
+    drop(lock.try_read().expect("uncontended"));
+    *lock.try_write().expect("uncontended") += 1;
+    drop(h.try_read().expect("uncontended"));
+    *h.try_write().expect("uncontended") += 1;
+    let w = lock.write();
+    assert!(lock.try_read().is_none() && h.try_read().is_none(), "a writer holds the lock");
+    drop(w);
+    let r = lock.read();
+    assert!(lock.try_write().is_none() && h.try_write().is_none(), "a reader holds the lock");
+    drop(r);
+}
+
+/// Every typed passage reports once, through the recorder the lock
+/// holds: the ledger of a recorder attached with `with_recorder` is the
+/// ledger of one wrapped around the raw lock by hand.
+#[test]
+fn try_passages_count_the_same_through_either_seam() {
+    let (a, b) = (Arc::new(StatsRecorder::new(4)), Arc::new(StatsRecorder::new(4)));
+    try_script(&RwLock::with_raw(0u64, TicketRwLock::new(4)).with_recorder(Arc::clone(&a)));
+    try_script(&RwLock::with_raw(0u64, Observed::new(TicketRwLock::new(4), Arc::clone(&b))));
+    let want = [
+        (Event::ReadAcquire, 3),
+        (Event::ReadRelease, 5),
+        (Event::WriteAcquire, 3),
+        (Event::WriteRelease, 5),
+        (Event::TryReadOk, 2),
+        (Event::TryReadFail, 2),
+        (Event::TryWriteOk, 2),
+        (Event::TryWriteFail, 2),
+    ];
+    for (event, n) in want {
+        assert_eq!(a.counter(event), n, "{event:?}");
+    }
+    for event in Event::ALL {
+        assert_eq!(a.counter(event), b.counter(event), "{event:?}");
+    }
 }

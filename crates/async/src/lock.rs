@@ -85,9 +85,9 @@
 //! # `write_blocking` (deprecated)
 //!
 //! [`AsyncRwLock::write_blocking`] predates the doorway: a *blocking*
-//! writer acquisition through the raw lock's own spin (under a
-//! [`park hint`](rmr_mutex::spin::with_park_hint)), for locks that offer
-//! `RawMultiWriter`. `write().await` + [`block_on`](crate::exec::block_on)
+//! writer acquisition through the raw lock's own spin (64 relaxed
+//! iterations, then yields, like every blocking acquisition), for locks
+//! that offer `RawMultiWriter`. `write().await` + [`block_on`](crate::exec::block_on)
 //! now covers every lock with a doorway — including the core SWMR locks,
 //! which never had `write_blocking` — so this method is deprecated and
 //! kept only for multi-writer locks without a fair doorway.
@@ -102,7 +102,7 @@ use crate::park::{WaitKind, WakeSet, WakerTable};
 use rmr_core::raw::{RawMultiWriter, RawParkedWaiters, RawRwLock, RawTryReadLock, RawTryRwLock};
 use rmr_core::registry::{Pid, PidRegistry};
 use rmr_mutex::mem::{Backend, Native, Ordering as MemOrdering, SharedWord};
-use rmr_mutex::{spin, CachePadded};
+use rmr_mutex::CachePadded;
 use rmr_obs::{Event, Metric, NoopRecorder, Recorder};
 use std::cell::UnsafeCell;
 use std::fmt;
@@ -484,7 +484,7 @@ impl<T: ?Sized, L: RawTryRwLock + RawMultiWriter, B: Backend, R: Recorder> Async
 
 impl<T: ?Sized, L: RawMultiWriter, B: Backend, R: Recorder> AsyncRwLock<T, L, B, R> {
     /// Acquires the lock for writing by *blocking* (the raw lock's own
-    /// spin, under a yield-first [`park hint`](rmr_mutex::spin::with_park_hint)).
+    /// spin: 64 relaxed iterations, then yields).
     ///
     /// Call it from a dedicated writer thread or a
     /// `spawn_blocking`-style offload, never from inside a future. The
@@ -510,7 +510,7 @@ impl<T: ?Sized, L: RawMultiWriter, B: Backend, R: Recorder> AsyncRwLock<T, L, B,
         let pid = self.allocate_pid();
         let t0 =
             if R::ENABLED { self.recorder.stamp(pid.index(), Event::WriteAcquire) } else { None };
-        let token = spin::with_park_hint(std::thread::yield_now, || self.raw.write_lock(pid));
+        let token = self.raw.write_lock(pid);
         if R::ENABLED {
             self.grant_obs(pid.index(), true, t0, false);
         }

@@ -217,9 +217,9 @@ fn counting_bools_match_cc_model() {
 #[test]
 fn native_wrappers_are_layout_transparent() {
     use std::mem::{align_of, size_of};
-    use std::sync::atomic::{AtomicBool, AtomicU64};
-    assert_eq!(size_of::<<Native as Backend>::Bool>(), size_of::<AtomicBool>());
-    assert_eq!(align_of::<<Native as Backend>::Bool>(), align_of::<AtomicBool>());
+    use std::sync::atomic::AtomicU64;
+    assert_eq!(size_of::<<Native as Backend>::Bool>(), size_of::<AtomicU64>());
+    assert_eq!(align_of::<<Native as Backend>::Bool>(), align_of::<AtomicU64>());
     assert_eq!(size_of::<<Native as Backend>::Word>(), size_of::<AtomicU64>());
     assert_eq!(align_of::<<Native as Backend>::Word>(), align_of::<AtomicU64>());
 }

@@ -327,9 +327,10 @@ mod tests {
         let trip = Observed::new(MwmrStarvationFree::new_in(4, Counting), Tripwire::new());
         assert_eq!(footprint(N, || raw_round(&trip)), want, "an Observed hook escaped R::ENABLED");
 
-        // The typed front end's own seam (`RwLock`'s `R`), leased pids
-        // included: the lease table is plain std memory, so a disabled
-        // recorder leaves exactly the raw lock's footprint.
+        // The typed front end, leased pids included: `RwLock` reports
+        // through the `Observed` it holds, and the lease table is plain std
+        // memory, so a disabled recorder leaves exactly the raw lock's
+        // footprint.
         let typed = RwLock::with_raw(0u64, MwmrStarvationFree::new_in(4, Counting))
             .with_recorder(Tripwire::new());
         let typed_round = || {
@@ -337,7 +338,7 @@ mod tests {
             drop(typed.try_read().expect("uncontended"));
             *typed.write() += 1;
         };
-        assert_eq!(footprint(N, typed_round), want, "an RwLock hook escaped R::ENABLED");
+        assert_eq!(footprint(N, typed_round), want, "RwLock's Observed hook escaped R::ENABLED");
     }
 
     #[test]

@@ -5,10 +5,15 @@
 //! of shared variables — boolean flags (gates, permits, lock slots) and
 //! 64-bit words (counters, CAS cells, the packed two-component fetch&add
 //! variables of `rmr-core`). This module abstracts that vocabulary behind
-//! the [`Backend`] trait so the *same* lock code can run in several modes:
+//! the [`Backend`] trait so the *same* lock code can run in several modes.
+//! A backend implements one shared cell, its word; its boolean is a
+//! [`Flag`], that word holding 0 or 1. The CC cost model charges an access
+//! to a variable whatever its width, and `rmr-sim` models every variable as
+//! a 64-bit cell, so a flag is measured, scheduled and faulted exactly like
+//! a word.
 //!
-//! * [`Native`] — `#[repr(transparent)]` newtypes over `std::sync::atomic`
-//!   types, every method `#[inline]` and forwarding its [`Ordering`]
+//! * [`Native`] — a `#[repr(transparent)]` newtype over `AtomicU64`,
+//!   every method `#[inline]` and forwarding its [`Ordering`]
 //!   argument verbatim. After monomorphization this is exactly the
 //!   hand-written code: zero cost, and the default everywhere
 //!   (`Lock<B = Native>`), so public APIs are unchanged.
@@ -44,8 +49,9 @@
 //!
 //! A handful of accesses carry a [`Site`] — their DESIGN.md §13 tag as a
 //! typed constant — through the `*_at` operations
-//! ([`SharedBool::store_at`], [`SharedBool::swap_at`],
-//! [`SharedWord::load_at`]). Under [`Native`] and [`Counting`] these are
+//! ([`SharedWord::load_at`], [`SharedWord::store_at`],
+//! [`SharedWord::swap_at`]; a [`Flag`]'s `store_at` and `swap_at` are its
+//! word's). Under [`Native`] and [`Counting`] these are
 //! the plain operations, so release code and RMR tallies are unchanged.
 //! Only the [`Sched`](crate::sched::Sched) backend reads the site: it
 //! applies a [`Fault`](crate::sched::Fault) armed for the run, which is
@@ -107,7 +113,7 @@
 
 use std::cell::Cell;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64};
+use std::sync::atomic::AtomicU64;
 
 pub use std::sync::atomic::Ordering;
 
@@ -182,7 +188,8 @@ impl fmt::Debug for Site {
 /// the `Sched` backend's weak-memory mode verifies those arguments by
 /// model checking the relaxed code.
 pub trait Backend: Copy + Default + Send + Sync + 'static {
-    /// A shared boolean (gates, permits, flags, lock slots).
+    /// A shared boolean (gates, permits, flags, lock slots): always
+    /// [`Flag<Self::Word>`](Flag).
     type Bool: SharedBool;
     /// A shared 64-bit word (counters, CAS cells, packed F&A variables,
     /// pid-or-sentinel words like Figure 2's `X` and Figure 4's
@@ -233,17 +240,11 @@ pub trait SharedBool: Send + Sync + 'static {
 
     /// [`store`](Self::store) at a fault [`Site`]; only `Sched` reads the
     /// site.
-    #[inline]
-    fn store_at(&self, _site: Site, value: bool, order: Ordering) {
-        self.store(value, order);
-    }
+    fn store_at(&self, site: Site, value: bool, order: Ordering);
 
     /// [`swap`](Self::swap) at a fault [`Site`]; only `Sched` reads the
     /// site.
-    #[inline]
-    fn swap_at(&self, _site: Site, value: bool, order: Ordering) -> bool {
-        self.swap(value, order)
-    }
+    fn swap_at(&self, site: Site, value: bool, order: Ordering) -> bool;
 }
 
 /// A shared atomic 64-bit word; every operation takes an explicit
@@ -293,56 +294,43 @@ pub trait SharedWord: Send + Sync + 'static {
     fn store_at(&self, _site: Site, value: u64, order: Ordering) {
         self.store(value, order);
     }
-}
 
-// ---------------------------------------------------------------------
-// Native: transparent newtypes over std atomics
-// ---------------------------------------------------------------------
-
-/// The production backend: transparent wrappers over `std::sync::atomic`,
-/// zero-cost after monomorphization — each method is a single direct
-/// delegation that forwards its [`Ordering`] argument verbatim, so the
-/// per-site annotations reach the hardware unchanged. The default backend
-/// of every lock.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Native;
-
-impl Backend for Native {
-    type Bool = NativeBool;
-    type Word = NativeWord;
-
-    const NAME: &'static str = "native";
-
+    /// [`swap`](Self::swap) at a fault [`Site`]; only `Sched` reads the
+    /// site.
     #[inline]
-    fn fence(order: Ordering) {
-        std::sync::atomic::fence(order);
+    fn swap_at(&self, _site: Site, value: u64, order: Ordering) -> u64 {
+        self.swap(value, order)
     }
 }
 
-/// [`Native`]'s boolean: a `#[repr(transparent)]` `AtomicBool`.
+/// Every backend's boolean: its word holding 0 (`false`) or 1 (`true`).
+///
+/// One cell kind per backend: each [`SharedBool`] operation is the word
+/// operation on 0/1, so a flag access is charged, scheduled and faulted
+/// exactly as a word access is.
 #[derive(Debug, Default)]
 #[repr(transparent)]
-pub struct NativeBool(AtomicBool);
+pub struct Flag<W>(pub(crate) W);
 
-impl SharedBool for NativeBool {
+impl<W: SharedWord> SharedBool for Flag<W> {
     #[inline]
     fn new(value: bool) -> Self {
-        Self(AtomicBool::new(value))
+        Self(W::new(u64::from(value)))
     }
 
     #[inline]
     fn load(&self, order: Ordering) -> bool {
-        self.0.load(order)
+        self.0.load(order) != 0
     }
 
     #[inline]
     fn store(&self, value: bool, order: Ordering) {
-        self.0.store(value, order);
+        self.0.store(u64::from(value), order);
     }
 
     #[inline]
     fn swap(&self, value: bool, order: Ordering) -> bool {
-        self.0.swap(value, order)
+        self.0.swap(u64::from(value), order) != 0
     }
 
     #[inline]
@@ -353,7 +341,44 @@ impl SharedBool for NativeBool {
         success: Ordering,
         failure: Ordering,
     ) -> Result<bool, bool> {
-        self.0.compare_exchange(current, new, success, failure)
+        match self.0.compare_exchange(u64::from(current), u64::from(new), success, failure) {
+            Ok(old) => Ok(old != 0),
+            Err(old) => Err(old != 0),
+        }
+    }
+
+    #[inline]
+    fn store_at(&self, site: Site, value: bool, order: Ordering) {
+        self.0.store_at(site, u64::from(value), order);
+    }
+
+    #[inline]
+    fn swap_at(&self, site: Site, value: bool, order: Ordering) -> bool {
+        self.0.swap_at(site, u64::from(value), order) != 0
+    }
+}
+
+// ---------------------------------------------------------------------
+// Native: a transparent newtype over AtomicU64
+// ---------------------------------------------------------------------
+
+/// The production backend: a transparent wrapper over `AtomicU64`,
+/// zero-cost after monomorphization — each method is a single direct
+/// delegation that forwards its [`Ordering`] argument verbatim, so the
+/// per-site annotations reach the hardware unchanged. The default backend
+/// of every lock.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Native;
+
+impl Backend for Native {
+    type Bool = Flag<Self::Word>;
+    type Word = NativeWord;
+
+    const NAME: &'static str = "native";
+
+    #[inline]
+    fn fence(order: Ordering) {
+        std::sync::atomic::fence(order);
     }
 }
 
@@ -424,7 +449,7 @@ impl SharedWord for NativeWord {
 pub struct Counting;
 
 impl Backend for Counting {
-    type Bool = CountingBool;
+    type Bool = Flag<Self::Word>;
     type Word = CountingWord;
 
     const NAME: &'static str = "counting";
@@ -549,52 +574,6 @@ impl CopySet {
     }
 }
 
-/// [`Counting`]'s boolean: an `AtomicBool` plus its cached-copy set.
-/// Ordering arguments are ignored (see [`Counting`]): the accounting and
-/// the recorded value are both annotation-independent by construction.
-pub struct CountingBool {
-    value: AtomicBool,
-    copies: CopySet,
-}
-
-impl SharedBool for CountingBool {
-    fn new(value: bool) -> Self {
-        Self { value: AtomicBool::new(value), copies: CopySet::new() }
-    }
-
-    fn load(&self, _order: Ordering) -> bool {
-        self.copies.read();
-        self.value.load(Ordering::SeqCst)
-    }
-
-    fn store(&self, value: bool, _order: Ordering) {
-        self.copies.update();
-        self.value.store(value, Ordering::SeqCst);
-    }
-
-    fn swap(&self, value: bool, _order: Ordering) -> bool {
-        self.copies.update();
-        self.value.swap(value, Ordering::SeqCst)
-    }
-
-    fn compare_exchange(
-        &self,
-        current: bool,
-        new: bool,
-        _success: Ordering,
-        _failure: Ordering,
-    ) -> Result<bool, bool> {
-        self.copies.update();
-        self.value.compare_exchange(current, new, Ordering::SeqCst, Ordering::SeqCst)
-    }
-}
-
-impl fmt::Debug for CountingBool {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "CountingBool({})", self.value.load(Ordering::SeqCst))
-    }
-}
-
 /// [`Counting`]'s word: an `AtomicU64` plus its cached-copy set.
 /// Ordering arguments are ignored (see [`Counting`]).
 pub struct CountingWord {
@@ -653,7 +632,7 @@ impl fmt::Debug for CountingWord {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use Ordering::{Acquire, Relaxed, Release, SeqCst};
+    use Ordering::{AcqRel, Acquire, Relaxed, Release, SeqCst};
 
     /// Runs `f` with a clean slot/tally and returns the tally it produced.
     /// Serialized via the harness's per-test threads: each test body runs
@@ -668,15 +647,15 @@ mod tests {
     #[test]
     fn native_wrappers_are_transparent() {
         use std::mem::{align_of, size_of};
-        assert_eq!(size_of::<NativeBool>(), size_of::<AtomicBool>());
-        assert_eq!(align_of::<NativeBool>(), align_of::<AtomicBool>());
+        assert_eq!(size_of::<<Native as Backend>::Bool>(), size_of::<AtomicU64>());
+        assert_eq!(align_of::<<Native as Backend>::Bool>(), align_of::<AtomicU64>());
         assert_eq!(size_of::<NativeWord>(), size_of::<AtomicU64>());
         assert_eq!(align_of::<NativeWord>(), align_of::<AtomicU64>());
     }
 
     #[test]
     fn native_semantics_round_trip() {
-        let b = NativeBool::new(false);
+        let b = <Native as Backend>::Bool::new(false);
         assert!(!b.swap(true, Acquire));
         assert!(b.load(Relaxed));
         assert_eq!(b.compare_exchange(true, false, SeqCst, Relaxed), Ok(true));
@@ -755,7 +734,7 @@ mod tests {
 
     #[test]
     fn counting_dsm_home_is_slot_zero() {
-        let b = CountingBool::new(false);
+        let b = <Counting as Backend>::Bool::new(false);
         let home = tally_of(DSM_HOME, || {
             b.store(true, Release);
             let _ = b.load(Acquire);
@@ -770,7 +749,7 @@ mod tests {
 
     #[test]
     fn counting_bool_semantics_match_native() {
-        let b = CountingBool::new(true);
+        let b = <Counting as Backend>::Bool::new(true);
         assert!(b.load(SeqCst));
         assert!(b.swap(false, SeqCst));
         assert_eq!(b.compare_exchange(false, true, SeqCst, SeqCst), Ok(false));
@@ -782,27 +761,32 @@ mod tests {
         // Same values and, under Counting, the same tally op for op: a
         // site tag costs nothing outside the checker.
         let plain = tally_of(2, || {
-            let b = CountingBool::new(false);
+            let b = <Counting as Backend>::Bool::new(false);
             b.store(true, Release);
             assert!(b.swap(false, Acquire));
             let w = CountingWord::new(4);
             assert_eq!(w.load(SeqCst), 4);
             w.store(5, SeqCst);
+            assert_eq!(w.swap(6, AcqRel), 5);
         });
         let sited = tally_of(2, || {
-            let b = CountingBool::new(false);
+            let b = <Counting as Backend>::Bool::new(false);
             b.store_at(Site::F1_L8, true, Release);
             assert!(b.swap_at(Site::MX_TTAS, false, Acquire));
             let w = CountingWord::new(4);
             assert_eq!(w.load_at(Site::BR_SCAN, SeqCst), 4);
             w.store_at(Site::BR_PUB, 5, SeqCst);
+            assert_eq!(w.swap_at(Site::MX_TTAS, 6, AcqRel), 5);
         });
         assert_eq!(plain, sited);
 
-        let b = NativeBool::new(false);
+        let b = <Native as Backend>::Bool::new(false);
         b.store_at(Site::F1_L3, true, Relaxed);
         assert!(b.swap_at(Site::MX_TTAS, false, Acquire));
-        assert_eq!(NativeWord::new(9).load_at(Site::AS_WAKE_ALL, SeqCst), 9);
+        let w = NativeWord::new(9);
+        assert_eq!(w.load_at(Site::AS_WAKE_ALL, SeqCst), 9);
+        assert_eq!(w.swap_at(Site::MX_TTAS, 10, AcqRel), 9);
+        assert_eq!(w.load(SeqCst), 10);
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! [`mem`](crate::mem) gives every lock interchangeable backends —
 //! [`Native`](crate::mem::Native) for production and
 //! [`Counting`](crate::mem::Counting) for RMR accounting. This module adds
-//! the checker's: [`Sched`], whose `Bool`/`Word` route **every** shared-memory
+//! the checker's: [`Sched`], whose word (and so its `Bool`, a
+//! [`Flag`] over the word) routes **every** shared-memory
 //! operation through a cooperative, fully deterministic scheduler. The
 //! *shipped* lock code (not a re-encoding of it) can then be driven through
 //! chosen interleavings, schedule by schedule, the way `rmr-sim` drives its
@@ -73,9 +74,9 @@
 //! # Faults
 //!
 //! The checker's mutation battery seeds bugs into the *shipped* locks
-//! through this backend. An access tagged with a [`Site`] (the `*_at`
-//! operations of [`SharedBool`]/[`SharedWord`]) consults the [`Fault`]
-//! armed for the run: [`FaultKind::Skip`] drops a store,
+//! through this backend. An access tagged with a [`Site`] (a `*_at`
+//! operation of [`SharedWord`]; a flag's are its word's) consults the
+//! [`Fault`] armed for the run: [`FaultKind::Skip`] drops a store,
 //! [`FaultKind::Order`] demotes its ordering (visible only under
 //! [`MemoryModel::StoreBuffer`]), and [`FaultKind::Read`] reports a fixed
 //! value from a load or swap. [`arm`] sets the fault with a scoped guard
@@ -121,13 +122,13 @@
 //! assert!(outcome.result.is_ok());
 //! ```
 
-use crate::mem::{Backend, Ordering, SharedBool, SharedWord, Site};
+use crate::mem::{Backend, Flag, Ordering, SharedWord, Site};
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::fmt;
 use std::marker::PhantomData;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64};
+use std::sync::atomic::{AtomicU32, AtomicU64};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
@@ -168,7 +169,7 @@ pub const STORE_BUFFER_CAP: usize = 4;
 pub struct Sched;
 
 impl Backend for Sched {
-    type Bool = SchedBool;
+    type Bool = Flag<Self::Word>;
     type Word = SchedWord;
 
     const NAME: &'static str = "sched";
@@ -305,96 +306,6 @@ pub enum OpKind {
     Update,
 }
 
-/// [`Sched`]'s boolean: an `AtomicBool` behind a yield point.
-pub struct SchedBool {
-    id: u32,
-    inner: AtomicBool,
-}
-
-impl SharedBool for SchedBool {
-    fn new(value: bool) -> Self {
-        Self { id: fresh_var_id(), inner: AtomicBool::new(value) }
-    }
-
-    fn load(&self, _order: Ordering) -> bool {
-        step(Op { var: self.id, kind: OpKind::Load });
-        let v = match forwarded_load(self.id) {
-            Some(buffered) => buffered != 0,
-            None => self.inner.load(Ordering::SeqCst),
-        };
-        note(self.id, Outcome::observed(OpKind::Load, u64::from(v)));
-        v
-    }
-
-    fn store(&self, value: bool, order: Ordering) {
-        step(Op { var: self.id, kind: OpKind::Update });
-        if buffer_store(self.id, Target::Bool(&self.inner), u64::from(value), order) {
-            return; // buffered: invisible until a flush decision lands it
-        }
-        self.inner.store(value, Ordering::SeqCst);
-        note(self.id, Outcome::Progress);
-    }
-
-    fn swap(&self, value: bool, _order: Ordering) -> bool {
-        step(Op { var: self.id, kind: OpKind::Update });
-        drain_own_buffer(); // RMWs act on memory (module docs)
-        let old = self.inner.swap(value, Ordering::SeqCst);
-        let outcome = if old == value {
-            Outcome::observed(OpKind::Update, u64::from(old)) // wrote back what was there
-        } else {
-            Outcome::Progress
-        };
-        note(self.id, outcome);
-        old
-    }
-
-    fn compare_exchange(
-        &self,
-        current: bool,
-        new: bool,
-        _success: Ordering,
-        _failure: Ordering,
-    ) -> Result<bool, bool> {
-        step(Op { var: self.id, kind: OpKind::Update });
-        drain_own_buffer();
-        let r = self.inner.compare_exchange(current, new, Ordering::SeqCst, Ordering::SeqCst);
-        let outcome = match r {
-            Ok(old) if old != new => Outcome::Progress,
-            Ok(old) | Err(old) => Outcome::observed(OpKind::Update, u64::from(old)),
-        };
-        note(self.id, outcome);
-        r
-    }
-
-    fn store_at(&self, site: Site, value: bool, order: Ordering) {
-        match fault_at(site) {
-            Some(FaultKind::Skip) => {}
-            Some(FaultKind::Order(demoted)) => self.store(value, demoted),
-            _ => self.store(value, order),
-        }
-    }
-
-    fn swap_at(&self, site: Site, value: bool, order: Ordering) -> bool {
-        let old = self.swap(value, order);
-        match fault_at(site) {
-            Some(FaultKind::Read(v)) => v != 0,
-            _ => old,
-        }
-    }
-}
-
-impl fmt::Debug for SchedBool {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "SchedBool(v{} = {})", self.id, self.inner.load(Ordering::SeqCst))
-    }
-}
-
-impl Drop for SchedBool {
-    fn drop(&mut self) {
-        scrub_var(self.id);
-    }
-}
-
 /// [`Sched`]'s word: an `AtomicU64` behind a yield point.
 pub struct SchedWord {
     id: u32,
@@ -418,8 +329,8 @@ impl SharedWord for SchedWord {
 
     fn store(&self, value: u64, order: Ordering) {
         step(Op { var: self.id, kind: OpKind::Update });
-        if buffer_store(self.id, Target::Word(&self.inner), value, order) {
-            return;
+        if buffer_store(self.id, &self.inner, value, order) {
+            return; // buffered: invisible until a flush decision lands it
         }
         self.inner.store(value, Ordering::SeqCst);
         note(self.id, Outcome::Progress);
@@ -429,8 +340,11 @@ impl SharedWord for SchedWord {
         step(Op { var: self.id, kind: OpKind::Update });
         drain_own_buffer();
         let old = self.inner.swap(value, Ordering::SeqCst);
-        let outcome =
-            if old == value { Outcome::observed(OpKind::Update, old) } else { Outcome::Progress };
+        let outcome = if old == value {
+            Outcome::observed(OpKind::Update, old) // wrote back what was there
+        } else {
+            Outcome::Progress
+        };
         note(self.id, outcome);
         old
     }
@@ -488,6 +402,14 @@ impl SharedWord for SchedWord {
             _ => self.store(value, order),
         }
     }
+
+    fn swap_at(&self, site: Site, value: u64, order: Ordering) -> u64 {
+        let old = self.swap(value, order);
+        match fault_at(site) {
+            Some(FaultKind::Read(r)) => r,
+            _ => old,
+        }
+    }
 }
 
 impl fmt::Debug for SchedWord {
@@ -506,23 +428,17 @@ impl Drop for SchedWord {
 // Store-buffer plumbing (MemoryModel::StoreBuffer)
 // ---------------------------------------------------------------------
 
-/// Where a buffered store lands when flushed.
-#[derive(Clone, Copy)]
-enum Target {
-    Bool(*const AtomicBool),
-    Word(*const AtomicU64),
-}
-
 /// One pending store in a task's buffer.
 struct BufEntry {
     var: u32,
-    target: Target,
+    /// Where the store lands when flushed.
+    target: *const AtomicU64,
     value: u64,
     /// Release (or AcqRel) stores flush only from the buffer front.
     release: bool,
 }
 
-// SAFETY: the pointers target `Sched` variables, which the run contract
+// SAFETY: the pointer targets a `Sched` variable, which the run contract
 // requires to outlive the run (module docs: construct locks before
 // `run_tasks`, inspect after), and every dereference is an atomic store
 // performed under the scheduler state mutex.
@@ -531,7 +447,7 @@ unsafe impl Send for BufEntry {}
 /// Buffers a non-`SeqCst` store on a weak-mode task; returns `false` when
 /// the caller should perform the store natively instead (strong mode,
 /// non-task thread, or a `SeqCst` store — which first drains the buffer).
-fn buffer_store(var: u32, target: Target, value: u64, order: Ordering) -> bool {
+fn buffer_store(var: u32, target: *const AtomicU64, value: u64, order: Ordering) -> bool {
     TASK.with(|t| {
         let borrow = t.borrow();
         let Some(ctx) = borrow.as_ref() else { return false };
@@ -839,11 +755,8 @@ impl State {
     /// spinning on the touched variable — a flush is the moment a store
     /// becomes visible, exactly like a strong-mode store's `Progress`.
     fn apply_flush(&mut self, e: BufEntry) {
-        match e.target {
-            // SAFETY: see `BufEntry`'s Send justification.
-            Target::Bool(p) => unsafe { (*p).store(e.value != 0, Ordering::SeqCst) },
-            Target::Word(p) => unsafe { (*p).store(e.value, Ordering::SeqCst) },
-        }
+        // SAFETY: see `BufEntry`'s Send justification.
+        unsafe { (*e.target).store(e.value, Ordering::SeqCst) };
         for stall in self.stall.iter_mut() {
             if stall.last.map(|(v, _)| v) == Some(e.var) {
                 *stall = Stall::default();
@@ -1265,9 +1178,10 @@ pub fn run_tasks_in(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mem::SharedBool;
     use crate::{AndersonLock, RawMutex, TicketLock};
     use std::sync::atomic::AtomicUsize;
-    use Ordering::{Acquire, Relaxed, Release, SeqCst};
+    use Ordering::{AcqRel, Acquire, Relaxed, Release, SeqCst};
 
     fn boxed(f: impl FnOnce() + Send + 'static) -> Box<dyn FnOnce() + Send> {
         Box::new(f)
@@ -1738,7 +1652,7 @@ mod tests {
             b0.store_at(Site::BR_CLEAR, true, SeqCst);
             // No yield point since the store: memory itself still holds
             // the old value, while the task's own load forwards the new.
-            assert!(!b0.inner.load(SeqCst), "the demoted store must sit in the buffer");
+            assert_eq!(b0.0.inner.load(SeqCst), 0, "the demoted store must sit in the buffer");
             assert!(b0.load(Relaxed));
         });
         assert!(b.load(SeqCst), "the buffered store lands when the run drains");
@@ -1758,7 +1672,8 @@ mod tests {
     fn read_fault_reports_the_armed_value() {
         let w = Arc::new(<Sched as Backend>::Word::new(5));
         let b = Arc::new(<Sched as Backend>::Bool::new(true));
-        let (w0, b0) = (Arc::clone(&w), Arc::clone(&b));
+        let v = Arc::new(<Sched as Backend>::Word::new(5));
+        let (w0, b0, v0) = (Arc::clone(&w), Arc::clone(&b), Arc::clone(&v));
         let _fault = arm(Fault { site: Site::BR_SCAN, kind: FaultKind::Read(0) });
         run_one(MemoryModel::SeqCst, move || {
             assert_eq!(w0.load_at(Site::BR_SCAN, SeqCst), 0);
@@ -1768,9 +1683,11 @@ mod tests {
             assert!(!b0.swap_at(Site::MX_TTAS, true, Acquire), "the swap reports the armed value");
             b0.store(false, SeqCst);
             assert!(!b0.swap_at(Site::MX_TTAS, true, Acquire));
+            assert_eq!(v0.swap_at(Site::MX_TTAS, 8, AcqRel), 0, "so does a word's swap");
         });
         assert_eq!(w.load(SeqCst), 5, "a read fault never writes");
         assert!(b.load(SeqCst), "a faulted swap still writes");
+        assert_eq!(v.load(SeqCst), 8, "a faulted word swap still writes");
     }
 
     #[test]

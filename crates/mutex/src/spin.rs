@@ -1,16 +1,11 @@
-//! Busy-wait helper used by every spin loop in the workspace — and the
-//! *park-point hook* that lets a caller observe (or soften) those loops.
+//! Busy-wait helper used by every spin loop in the workspace.
 //!
 //! Every `wait till <shared variable>` statement in the lock
 //! implementations goes through [`spin_until`]/[`SpinWait`], which makes
-//! this module the single seam at which all futile-spin points surface.
-//! [`with_park_hint`] exploits that: while a hint is installed on the
-//! calling thread, every futile iteration invokes the hint instead of the
-//! default relax/yield policy. `rmr-async` uses it so a *blocking* writer
-//! acquisition running near an executor (the deprecated `write_blocking`,
-//! still the writer endpoint for raw locks without a `RawParkedWaiters`
-//! doorway) yields its core from the first futile iteration rather than
-//! burning 64 hot spins per round.
+//! this module the single seam at which all futile-spin points surface:
+//! a wait relaxes the CPU for its first 64 futile iterations and then
+//! yields, and [`thread_spin_tally`] counts those iterations for the
+//! observability tiers.
 
 use std::cell::Cell;
 use std::fmt;
@@ -21,11 +16,6 @@ use std::fmt;
 const SPINS_BEFORE_YIELD: u32 = 64;
 
 thread_local! {
-    /// The calling thread's installed park hint, if any. A plain `fn`
-    /// pointer (not a closure) keeps the cell `Copy` and the per-futile-
-    /// iteration check to one thread-local load.
-    static PARK_HINT: Cell<Option<fn()>> = const { Cell::new(None) };
-
     /// Futile spin iterations this thread has ever burned — the
     /// observability seam: an instrumented acquire samples this before
     /// and after, and the delta is its spin count (zero ⇒ uncontended).
@@ -42,39 +32,6 @@ thread_local! {
 #[inline]
 pub fn thread_spin_tally() -> u64 {
     SPIN_TALLY.try_with(Cell::get).unwrap_or(0)
-}
-
-/// Runs `f` with `hint` installed as the calling thread's park hint:
-/// every futile spin iteration inside `f` (any [`SpinWait::spin`], hence
-/// any [`spin_until`] and every core lock's `wait till` loop) calls
-/// `hint()` instead of the default relax-then-yield policy. The previous
-/// hint is restored on exit, including on unwind — hints nest.
-///
-/// # Example
-///
-/// ```
-/// use rmr_mutex::spin::{spin_until, with_park_hint};
-///
-/// let mut polls = 0;
-/// with_park_hint(std::thread::yield_now, || {
-///     spin_until(|| {
-///         polls += 1;
-///         polls == 3 // two futile iterations, each yielding immediately
-///     });
-/// });
-/// assert_eq!(polls, 3);
-/// ```
-pub fn with_park_hint<R>(hint: fn(), f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<fn()>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            let prev = self.0;
-            let _ = PARK_HINT.try_with(|h| h.set(prev));
-        }
-    }
-    let prev = PARK_HINT.with(|h| h.replace(Some(hint)));
-    let _restore = Restore(prev);
-    f()
 }
 
 /// An adaptive busy-wait: spins with CPU relax hints first, then yields the
@@ -109,16 +66,11 @@ impl SpinWait {
         Self { count: 0 }
     }
 
-    /// Performs one wait step: the thread's installed
-    /// [park hint](with_park_hint) if there is one, else a CPU relax hint
-    /// early on and a scheduler yield once the loop has been running for a
-    /// while. (`try_with`: during thread teardown the hint cell may be
-    /// gone; fall back to the default policy rather than panic.)
+    /// Performs one wait step: a CPU relax hint early on and a scheduler
+    /// yield once the loop has been running for a while.
     pub fn spin(&mut self) {
         let _ = SPIN_TALLY.try_with(|t| t.set(t.get() + 1));
-        if let Some(hint) = PARK_HINT.try_with(Cell::get).ok().flatten() {
-            hint();
-        } else if self.count < SPINS_BEFORE_YIELD {
+        if self.count < SPINS_BEFORE_YIELD {
             self.count += 1;
             std::hint::spin_loop();
         } else {
@@ -199,26 +151,6 @@ mod tests {
     }
 
     #[test]
-    fn park_hint_replaces_the_wait_policy() {
-        use std::sync::atomic::{AtomicU32, Ordering};
-        static HINTS: AtomicU32 = AtomicU32::new(0);
-        fn count_hint() {
-            HINTS.fetch_add(1, Ordering::SeqCst);
-        }
-        HINTS.store(0, Ordering::SeqCst);
-        let mut s = SpinWait::new();
-        with_park_hint(count_hint, || {
-            s.spin();
-            s.spin();
-        });
-        assert_eq!(HINTS.load(Ordering::SeqCst), 2);
-        assert_eq!(s.count(), 0, "hinted waits must not consume the relax-phase budget");
-        // Restored: spins count again outside the scope.
-        s.spin();
-        assert_eq!(s.count(), 1);
-    }
-
-    #[test]
     fn spin_tally_counts_every_futile_iteration() {
         let before = thread_spin_tally();
         let mut s = SpinWait::new();
@@ -232,27 +164,5 @@ mod tests {
             n == 4 // three futile iterations
         });
         assert_eq!(thread_spin_tally() - before, 3);
-    }
-
-    #[test]
-    fn park_hints_nest_and_restore() {
-        use std::sync::atomic::{AtomicU32, Ordering};
-        static OUTER: AtomicU32 = AtomicU32::new(0);
-        static INNER: AtomicU32 = AtomicU32::new(0);
-        fn outer_hint() {
-            OUTER.fetch_add(1, Ordering::SeqCst);
-        }
-        fn inner_hint() {
-            INNER.fetch_add(1, Ordering::SeqCst);
-        }
-        OUTER.store(0, Ordering::SeqCst);
-        INNER.store(0, Ordering::SeqCst);
-        let mut s = SpinWait::new();
-        with_park_hint(outer_hint, || {
-            s.spin();
-            with_park_hint(inner_hint, || s.spin());
-            s.spin(); // outer hint restored
-        });
-        assert_eq!((OUTER.load(Ordering::SeqCst), INNER.load(Ordering::SeqCst)), (2, 1));
     }
 }

@@ -29,7 +29,7 @@ fn clock_reads(rec: &TickRecorder) -> u64 {
 }
 
 /// `READS` read and `WRITES` write passages, all on pid 0, through the
-/// typed front end's own recorder seam.
+/// typed front end, which reports through the `Observed` it holds.
 fn typed(rec: &TickRecorder) {
     let lock = RwLock::with_raw(0u64, TicketRwLock::new(4)).with_recorder(Arc::clone(rec));
     let mut h = lock.register().expect("capacity");

@@ -1,11 +1,10 @@
-//! E13 — the E6/E7 experiment matrix executed on the **real**
-//! implementations: RMRs per passage under the CC cost model (`Counting`
-//! backend) as the reader population grows, for the paper's five locks
-//! (expected: flat) versus the baselines (expected: growing).
+//! E7/E13 — the RMR ledger on the **real** implementations: worst and mean
+//! CC RMRs per passage as the reader population grows, for the paper's
+//! five locks (expected: flat) versus the baselines (expected: growing).
 //!
-//! This is the measurement `rmr-sim` cannot provide: the tallies come from
-//! the shipped `rmr-core`/`rmr-baselines` code running on real threads,
-//! not from the line-level re-encodings.
+//! The tallies come from the shipped `rmr-core`/`rmr-baselines` code run
+//! under the deterministic `Sched` backend over a fixed schedule set, so
+//! two runs print identical bytes (see `rmr_bench::real`).
 //!
 //! ```text
 //! cargo run --release -p rmr-bench --bin real_rmr_table [-- --json --quick]
@@ -18,10 +17,10 @@ use rmr_bench::tables::{rmr_table_of, shape_summary, RmrRow};
 fn main() {
     let args = BenchArgs::parse(
         "real_rmr_table",
-        "E13: RMRs per passage on the real lock implementations (CC Counting backend)",
+        "E7/E13: RMRs per passage on the real lock implementations (Sched ledger, CC model)",
     );
     let populations: &[usize] = if args.quick { &[1, 2, 4, 8] } else { &[1, 2, 4, 8, 16, 32, 48] };
-    let passages = if args.quick { 2 } else { 8 };
+    let passages = 2;
     let writers = 2;
 
     let mut rows: Vec<RmrRow> = Vec::new();
@@ -37,8 +36,8 @@ fn main() {
     }
 
     println!(
-        "# E13 — RMRs per passage vs. population, real implementations (CC model, \
-         {writers} writers, {passages} passages/thread)\n"
+        "# E7/E13 — RMRs per passage vs. population, real implementations (CC model, \
+         {writers} writers, {passages} passages/task, worst over the schedule set)\n"
     );
     print!("{}", rmr_table_of(&rows).markdown());
 
@@ -51,8 +50,7 @@ fn main() {
     print!("{}", shape_summary(&rows, algos, small_n, large_n).markdown());
     println!(
         "\nSpin traffic is charged to the waiting passage, so a growing max means\n\
-         waiters genuinely pay more remote references as the population grows.\n\
-         Concurrent tallies are a faithful sample, not a deterministic replay —\n\
-         see rmr_mutex::mem and EXPERIMENTS.md E13."
+         waiters pay more remote references as the population grows. Every\n\
+         schedule replays exactly — see rmr_bench::real and EXPERIMENTS.md E13."
     );
 }

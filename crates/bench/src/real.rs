@@ -1,52 +1,49 @@
-//! E13 — RMR measurement on the **real** lock implementations.
+//! E7/E13 — the RMR ledger on the **shipped** lock implementations.
 //!
-//! `rmr-sim` measures the paper's complexity claims on hand re-encoded
-//! line-level models (E6–E8). This module measures them on the *shipped*
-//! code instead: every lock in `rmr-core`/`rmr-baselines` is generic over
-//! the memory backend of `rmr_mutex::mem`, so instantiating it with
-//! [`Counting`] runs the identical algorithm with every shared access
-//! tallied under the CC cost model (and DSM, reported separately).
+//! Every lock in `rmr-core`/`rmr-baselines` is generic over the memory
+//! backend of `rmr_mutex::mem`. Instantiated with [`Sched`], the identical
+//! algorithm runs under the deterministic scheduler, and every shared
+//! access it performs is charged to the performing task's CC tally
+//! (`rmr_mutex::sched`, "RMR accounting"). The count is a ledger, not a
+//! sample: the scheduler runs one operation at a time, so each copy-set
+//! update is exact, and a schedule replays bit for bit.
 //!
-//! Methodology: `writers + readers` real threads, each pinned to its own
-//! accounting slot (= its lock pid). All threads start together behind a
-//! barrier and perform `passages` acquire/release passages each; the
-//! per-thread tally is reset before and read after every passage, so each
-//! passage's remote-reference count — including all spin traffic — is
-//! attributed exactly to it. The table reports the worst and mean passage.
-//!
-//! Each critical section is held for a *randomized* fraction of a
-//! millisecond, scaled with the population (a sleep, so the holder cedes
-//! the CPU). This matters doubly on small hosts (CI runs on one core):
-//! the hold lets the other `n - 1` threads reach their entry protocols
-//! and genuinely queue, and the randomization staggers exits across
-//! scheduling rounds so a waiter's polls cannot be coalesced by a fair
-//! scheduler — a ticket-RW writer really observes (and pays for) each of
-//! the n reader exits that invalidate the grant word it spins on, exactly
-//! as it would under true hardware parallelism, while the paper's locks
-//! spin on single-writer flags and stay flat.
-//!
-//! Because threads interleave freely, the cached-copy bookkeeping is a
-//! faithful concurrent sample rather than a deterministic replay (see
-//! `rmr_mutex::mem`); the per-passage counts for the paper's locks are
-//! nonetheless *structurally* bounded — each passage performs a constant
-//! number of shared operations and each local spin is re-charged only when
-//! its variable is genuinely invalidated — which is exactly the O(1) claim
-//! under test.
+//! Methodology: `writers + readers` tasks, each on its own accounting slot
+//! (= its lock pid), perform `passages` acquire/release passages each,
+//! with one yield point inside the critical section so waiters can queue
+//! behind the holder. The task's tally is reset before and read after every
+//! passage, so each passage's remote-reference count — all spin traffic
+//! included — is attributed exactly to it. RMR complexity is a worst case
+//! over schedules, so each point runs a fixed set of 14: round-robin, a
+//! wake-spinners-first adversary, and six seeds each of
+//! [`Pct`] and [`RandomWalk`]. The table reports the worst and the mean
+//! passage over all of them. A run that does not finish cleanly
+//! (deadlock, budget, panic) aborts the sweep.
 
 use crate::tables::RmrRow;
 use rmr_baselines::{
     CentralizedRwLock, CourtoisWriterPrefRwLock, DistributedFlagRwLock, TicketRwLock,
     TournamentRwLock,
 };
+use rmr_check::strategies::{Pct, RandomWalk};
 use rmr_core::mwmr::{MwmrReaderPriority, MwmrStarvationFree, MwmrWriterPriority};
 use rmr_core::raw::RawRwLock;
 use rmr_core::registry::Pid;
 use rmr_core::swmr::{SwmrReaderPriority, SwmrWriterPriority};
-use rmr_mutex::mem::{self, Counting};
-use rmr_sim::rng::SplitMix64;
-use std::sync::{Arc, Barrier};
+use rmr_mutex::mem;
+use rmr_mutex::sched::{self, run_tasks, PickView, RoundRobin, Sched, Strategy};
+use std::collections::VecDeque;
+use std::sync::{Arc, Mutex};
 
-/// The real implementations the E13 sweep covers, named to match the
+/// Seeds run per seeded strategy ([`Pct`] and [`RandomWalk`]).
+const SEEDS: u64 = 6;
+
+/// Turns granted per run before it counts as livelocked. A 50-task
+/// baseline run at the full sweep's largest point needs well under a
+/// tenth of this.
+const BUDGET: u64 = 20_000_000;
+
+/// The real implementations the ledger covers, named to match the
 /// simulator sweep ([`crate::tables::SimAlgo`]) where both exist.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RealAlgo {
@@ -108,129 +105,153 @@ impl RealAlgo {
     }
 }
 
-/// What one thread observed over its passages.
-struct ThreadStats {
-    role_writer: bool,
-    max_cc: u64,
-    sum_cc: u64,
-    passages: u64,
+/// Adversarial policy: a task that was stalled at an earlier decision and
+/// is runnable again — a spinner whose variable just changed — runs before
+/// anyone else, so it pays its re-read before the next invalidation can
+/// coalesce with this one. Otherwise round-robin.
+#[derive(Debug, Default)]
+struct WakeSpinners {
+    stalled: Vec<usize>,
+    woken: VecDeque<usize>,
+    tail: RoundRobin,
 }
 
-fn run_threads<L: RawRwLock + 'static>(
-    lock: L,
+impl Strategy for WakeSpinners {
+    fn pick(&mut self, view: &PickView<'_>) -> usize {
+        for &t in view.runnable {
+            if self.stalled.contains(&t) && !self.woken.contains(&t) {
+                self.woken.push_back(t);
+            }
+        }
+        self.woken.retain(|t| view.runnable.contains(t));
+        self.stalled =
+            view.unfinished.iter().copied().filter(|t| !view.runnable.contains(t)).collect();
+        self.woken.pop_front().unwrap_or_else(|| self.tail.pick(view))
+    }
+}
+
+/// The fixed schedule set every ledger point runs: round-robin, the
+/// wake-spinners-first adversary, and [`SEEDS`] seeds each of PCT (depth
+/// 3) and a uniform random walk.
+fn schedules() -> Vec<Box<dyn Strategy>> {
+    let mut out: Vec<Box<dyn Strategy>> =
+        vec![Box::new(RoundRobin::default()), Box::new(WakeSpinners::default())];
+    out.extend((0..SEEDS).map(|s| Box::new(Pct::new(s, 3, 1024)) as Box<dyn Strategy>));
+    out.extend((0..SEEDS).map(|s| Box::new(RandomWalk::new(s)) as Box<dyn Strategy>));
+    out
+}
+
+/// One measured passage: its role and the CC RMRs charged to it.
+#[derive(Debug, Clone, Copy)]
+struct Passage {
+    writer: bool,
+    cc: u64,
+}
+
+/// Runs every schedule of [`schedules`] over a fresh `make()` lock and
+/// returns every passage's CC RMRs.
+fn ledger<L: RawRwLock + 'static>(
+    name: &str,
+    make: impl Fn() -> L,
     writers: usize,
     readers: usize,
     passages: usize,
-) -> Vec<ThreadStats> {
+) -> Vec<Passage> {
     let total = writers + readers;
-    assert!(total <= mem::MAX_SLOTS, "population {total} exceeds the Counting slot limit");
-    let lock = Arc::new(lock);
-    let barrier = Arc::new(Barrier::new(total));
-    let mut handles = Vec::with_capacity(total);
-    for i in 0..total {
-        let lock = Arc::clone(&lock);
-        let barrier = Arc::clone(&barrier);
-        let role_writer = i < writers;
-        handles.push(std::thread::spawn(move || {
-            mem::set_thread_slot(i);
-            let pid = Pid::from_index(i);
-            barrier.wait();
-            // Hold the critical section for a randomized, population-
-            // scaled duration so queues form and exits stagger (see
-            // module docs). A sleep, not a spin: the holder must cede
-            // the CPU to the pollers.
-            let mut rng = SplitMix64::new(0xE13 ^ (i as u64).wrapping_mul(0x9e37_79b9));
-            let spread_us = 100 * total as u64;
-            let mut critical_section = || {
-                let hold = 200 + rng.next_u64() % spread_us;
-                std::thread::sleep(std::time::Duration::from_micros(hold));
-            };
-            let mut st = ThreadStats { role_writer, max_cc: 0, sum_cc: 0, passages: 0 };
-            for _ in 0..passages {
-                mem::reset_thread_tally();
-                if role_writer {
-                    let t = lock.write_lock(pid);
-                    critical_section();
-                    lock.write_unlock(pid, t);
-                } else {
-                    let t = lock.read_lock(pid);
-                    critical_section();
-                    lock.read_unlock(pid, t);
-                }
-                let tally = mem::thread_tally();
-                st.max_cc = st.max_cc.max(tally.cc);
-                st.sum_cc += tally.cc;
-                st.passages += 1;
-                // Let waiters drain before our next attempt so one fast
-                // thread cannot monopolize the sweep.
-                std::thread::yield_now();
-            }
-            st
-        }));
+    assert!(total <= mem::MAX_SLOTS, "population {total} exceeds the accounting slot limit");
+    let mut out = Vec::new();
+    for mut strategy in schedules() {
+        let lock = Arc::new(make());
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let tasks = (0..total)
+            .map(|i| {
+                let lock = Arc::clone(&lock);
+                let log = Arc::clone(&log);
+                Box::new(move || {
+                    mem::set_thread_slot(i);
+                    let pid = Pid::from_index(i);
+                    let writer = i < writers;
+                    for _ in 0..passages {
+                        mem::reset_thread_tally();
+                        if writer {
+                            let t = lock.write_lock(pid);
+                            sched::yield_point();
+                            lock.write_unlock(pid, t);
+                        } else {
+                            let t = lock.read_lock(pid);
+                            sched::yield_point();
+                            lock.read_unlock(pid, t);
+                        }
+                        let cc = mem::thread_tally().cc;
+                        log.lock().expect("ledger log").push(Passage { writer, cc });
+                    }
+                }) as Box<dyn FnOnce() + Send>
+            })
+            .collect();
+        let outcome = run_tasks(tasks, strategy.as_mut(), BUDGET);
+        if let Err(err) = outcome.result {
+            panic!("{name} ({writers} writers, {readers} readers): {err}");
+        }
+        out.append(&mut log.lock().expect("ledger log"));
     }
-    handles.into_iter().map(|h| h.join().expect("measurement thread panicked")).collect()
+    out
 }
 
 /// Measures one algorithm/population point on the real implementation
-/// under the CC [`Counting`] backend. `writers` is forced to 1 for the
+/// over the [`Sched`] ledger. `writers` is forced to 1 for the
 /// single-writer algorithms.
 pub fn real_rmr_row(algo: RealAlgo, writers: usize, readers: usize, passages: usize) -> RmrRow {
     let writers = if algo.single_writer() { 1 } else { writers };
     let n = writers + readers;
-    let stats = match algo {
-        RealAlgo::Fig1 => run_threads(SwmrWriterPriority::new_in(Counting), 1, readers, passages),
-        RealAlgo::Fig2 => run_threads(SwmrReaderPriority::new_in(Counting), 1, readers, passages),
+    let name = algo.name();
+    let measured = match algo {
+        RealAlgo::Fig1 => {
+            ledger(name, || SwmrWriterPriority::new_in(Sched), writers, readers, passages)
+        }
+        RealAlgo::Fig2 => {
+            ledger(name, || SwmrReaderPriority::new_in(Sched), writers, readers, passages)
+        }
         RealAlgo::Fig3Sf => {
-            run_threads(MwmrStarvationFree::new_in(n, Counting), writers, readers, passages)
+            ledger(name, || MwmrStarvationFree::new_in(n, Sched), writers, readers, passages)
         }
         RealAlgo::Fig3Rp => {
-            run_threads(MwmrReaderPriority::new_in(n, Counting), writers, readers, passages)
+            ledger(name, || MwmrReaderPriority::new_in(n, Sched), writers, readers, passages)
         }
         RealAlgo::Fig4 => {
-            run_threads(MwmrWriterPriority::new_in(n, Counting), writers, readers, passages)
+            ledger(name, || MwmrWriterPriority::new_in(n, Sched), writers, readers, passages)
         }
         RealAlgo::Centralized => {
-            run_threads(CentralizedRwLock::new_in(n, Counting), writers, readers, passages)
+            ledger(name, || CentralizedRwLock::new_in(n, Sched), writers, readers, passages)
         }
         RealAlgo::CourtoisWp => {
-            run_threads(CourtoisWriterPrefRwLock::new_in(n, Counting), writers, readers, passages)
+            ledger(name, || CourtoisWriterPrefRwLock::new_in(n, Sched), writers, readers, passages)
         }
         RealAlgo::TicketRw => {
-            run_threads(TicketRwLock::new_in(n, Counting), writers, readers, passages)
+            ledger(name, || TicketRwLock::new_in(n, Sched), writers, readers, passages)
         }
         RealAlgo::DistributedFlag => {
-            run_threads(DistributedFlagRwLock::new_in(n, Counting), writers, readers, passages)
+            ledger(name, || DistributedFlagRwLock::new_in(n, Sched), writers, readers, passages)
         }
         RealAlgo::Tournament => {
-            run_threads(TournamentRwLock::new_in(n, Counting), writers, readers, passages)
+            ledger(name, || TournamentRwLock::new_in(n, Sched), writers, readers, passages)
         }
     };
 
-    let mut max_rmr = 0u64;
-    let mut max_reader = 0u64;
-    let mut max_writer = 0u64;
-    let mut sum = 0u64;
-    let mut count = 0u64;
-    for st in &stats {
-        max_rmr = max_rmr.max(st.max_cc);
-        if st.role_writer {
-            max_writer = max_writer.max(st.max_cc);
-        } else {
-            max_reader = max_reader.max(st.max_cc);
-        }
-        sum += st.sum_cc;
-        count += st.passages;
-    }
+    let worst = |writer: bool| {
+        measured.iter().filter(|p| p.writer == writer).map(|p| p.cc).max().unwrap_or(0)
+    };
+    let (max_reader, max_writer) = (worst(false), worst(true));
+    let sum: u64 = measured.iter().map(|p| p.cc).sum();
     RmrRow {
-        algo: algo.name().to_string(),
+        algo: name.to_string(),
         model: "cc".into(),
         writers,
         readers,
-        max_rmr,
-        mean_rmr: sum as f64 / count.max(1) as f64,
+        max_rmr: max_reader.max(max_writer),
+        mean_rmr: sum as f64 / measured.len().max(1) as f64,
         max_reader_rmr: max_reader,
         max_writer_rmr: max_writer,
-        attempts: count as usize,
+        attempts: measured.len(),
     }
 }
 
@@ -242,9 +263,47 @@ mod tests {
     fn fig1_real_row_is_small_and_complete() {
         let row = real_rmr_row(RealAlgo::Fig1, 1, 3, 4);
         assert_eq!(row.writers, 1);
-        assert_eq!(row.attempts, 16, "4 threads x 4 passages");
+        assert_eq!(row.attempts, 16 * schedules().len(), "4 tasks x 4 passages per schedule");
         assert!(row.max_rmr > 0, "uncounted passages: {row:?}");
         assert!(row.max_rmr <= 40, "fig1 passage should be O(1): {row:?}");
+    }
+
+    /// The ledger's two shapes on the shipped code, at 2 and 8 readers
+    /// (2 writers; 1 for Fig. 1/2): every paper lock stays under one
+    /// constant, every baseline's worst passage grows.
+    fn rows_at_2_and_8(algo: RealAlgo) -> (RmrRow, RmrRow) {
+        (real_rmr_row(algo, 2, 2, 2), real_rmr_row(algo, 2, 8, 2))
+    }
+
+    #[test]
+    fn paper_locks_ledger_is_bounded_by_a_constant() {
+        const BOUND: u64 = 24;
+        for algo in RealAlgo::PAPER {
+            let (small, large) = rows_at_2_and_8(algo);
+            assert!(small.max_rmr <= BOUND && large.max_rmr <= BOUND, "{small:?} {large:?}");
+        }
+    }
+
+    fn assert_ledger_grows(algo: RealAlgo) {
+        let (small, large) = rows_at_2_and_8(algo);
+        assert!(large.max_rmr > small.max_rmr, "no growth: {small:?} {large:?}");
+    }
+
+    #[test]
+    fn centralized_reader_batch_rmrs_grow_with_n() {
+        assert_ledger_grows(RealAlgo::Centralized);
+    }
+
+    #[test]
+    fn tournament_reader_rmrs_grow_with_n() {
+        assert_ledger_grows(RealAlgo::Tournament);
+    }
+
+    #[test]
+    fn other_baselines_ledger_grows_with_readers() {
+        for algo in [RealAlgo::CourtoisWp, RealAlgo::TicketRw, RealAlgo::DistributedFlag] {
+            assert_ledger_grows(algo);
+        }
     }
 
     #[test]

@@ -1,12 +1,13 @@
-//! Simulator sweeps behind the RMR tables (experiments E6–E8).
+//! Simulator sweeps behind the RMR tables (experiments E6 and E8), and the
+//! row and table types the shipped-code ledger (E7/E13) shares with them.
 
 use crate::cli::Table;
-use rmr_sim::algos::{Centralized, Fig1, Fig2, Fig3Rp, Fig3Sf, Fig4, TicketRw, Tournament};
+use rmr_sim::algos::{Fig1, Fig2, Fig3Rp, Fig3Sf, Fig4};
 use rmr_sim::cost::{CcModel, CostModel, DsmModel};
 use rmr_sim::machine::Algorithm;
 use rmr_sim::runner::{RandomSched, Runner};
 
-/// The algorithms the RMR sweeps cover.
+/// The paper's algorithms, as `rmr-sim` line-level models.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimAlgo {
     /// Figure 1 (SWMR writer priority). Forces `writers = 1`.
@@ -19,12 +20,6 @@ pub enum SimAlgo {
     Fig3Rp,
     /// Figure 4 (MWMR writer priority).
     Fig4,
-    /// Courtois et al. centralized baseline.
-    Centralized,
-    /// Task-fair ticket RW baseline.
-    TicketRw,
-    /// Counting-tree (Θ(log n)) baseline.
-    Tournament,
 }
 
 impl SimAlgo {
@@ -36,19 +31,12 @@ impl SimAlgo {
             SimAlgo::Fig3Sf => "fig3-mwmr-sf",
             SimAlgo::Fig3Rp => "fig3-mwmr-rp",
             SimAlgo::Fig4 => "fig4-mwmr-wp",
-            SimAlgo::Centralized => "centralized-1971",
-            SimAlgo::TicketRw => "ticket-rw",
-            SimAlgo::Tournament => "tournament-tree",
         }
     }
 
     /// All paper algorithms.
     pub const PAPER: [SimAlgo; 5] =
         [SimAlgo::Fig1, SimAlgo::Fig2, SimAlgo::Fig3Sf, SimAlgo::Fig3Rp, SimAlgo::Fig4];
-
-    /// All baselines.
-    pub const BASELINES: [SimAlgo; 3] =
-        [SimAlgo::Centralized, SimAlgo::TicketRw, SimAlgo::Tournament];
 
     /// Whether this algorithm supports only a single writer.
     pub fn single_writer(self) -> bool {
@@ -150,15 +138,6 @@ pub fn rmr_row(
             measure(|| Fig3Rp::new(writers, readers), model, attempts_per_proc, seeds)
         }
         SimAlgo::Fig4 => measure(|| Fig4::new(writers, readers), model, attempts_per_proc, seeds),
-        SimAlgo::Centralized => {
-            measure(|| Centralized::new(writers, readers), model, attempts_per_proc, seeds)
-        }
-        SimAlgo::TicketRw => {
-            measure(|| TicketRw::new(writers, readers), model, attempts_per_proc, seeds)
-        }
-        SimAlgo::Tournament => {
-            measure(|| Tournament::new(writers, readers), model, attempts_per_proc, seeds)
-        }
     };
     RmrRow {
         algo: algo.name().to_string(),
@@ -177,8 +156,8 @@ pub fn rmr_row(
 }
 
 /// Builds the shared two-format [`Table`] for a set of RMR rows — one
-/// emission path for the simulator sweeps (E6–E8) and the real-lock sweep
-/// (E13).
+/// emission path for the simulator sweeps (E6, E8) and the shipped-code
+/// ledger (E7/E13).
 pub fn rmr_table_of(rows: &[RmrRow]) -> Table {
     let mut t = Table::new(&[
         ("algorithm", "algo"),
@@ -219,8 +198,8 @@ pub fn json_table(rows: &[RmrRow]) -> String {
 }
 
 /// Classifies the growth of max RMR between the smallest and largest
-/// population of a sweep. One heuristic shared by E6/E7 (`rmr_table`) and
-/// E13 (`real_rmr_table`), so the two tables can never disagree on what
+/// population of a sweep. One heuristic shared by E6 (`rmr_table`) and
+/// E7/E13 (`real_rmr_table`), so the two tables can never disagree on what
 /// counts as flat.
 pub fn growth_shape(small_max: u64, large_max: u64) -> &'static str {
     if large_max <= small_max.saturating_mul(2).max(small_max + 4) {
@@ -281,14 +260,15 @@ mod tests {
         assert_eq!(row.writers, 1);
     }
 
+    /// E7's tournament row, now measured on the shipped tree, is classed as
+    /// growing by the shape summary `real_rmr_table` prints.
     #[test]
     fn tournament_row_grows_with_population() {
-        let small = rmr_row(SimAlgo::Tournament, 1, 3, Model::Cc, 2, 3);
-        let large = rmr_row(SimAlgo::Tournament, 1, 31, Model::Cc, 2, 3);
-        assert!(
-            large.max_reader_rmr > small.max_reader_rmr,
-            "expected log-n growth: {small:?} vs {large:?}"
-        );
+        use crate::real::{real_rmr_row, RealAlgo};
+        let rows: Vec<RmrRow> =
+            [1, 8].iter().map(|&n| real_rmr_row(RealAlgo::Tournament, 2, n, 2)).collect();
+        let summary = shape_summary(&rows, ["tournament-tree"], 1, 8).json();
+        assert!(summary.contains("grows"), "expected growth: {rows:?}\n{summary}");
     }
 
     #[test]

@@ -1,14 +1,16 @@
-//! Cross-validation of the `Counting` memory backend against `rmr-sim`'s
-//! cost models, plus the zero-cost guard for `Native`.
+//! Cross-validation of the `Counting` and `Sched` memory backends against
+//! `rmr-sim`'s cost models, plus the zero-cost guard for `Native`.
 //!
 //! The `Counting` backend (rmr-mutex `mem` module) claims to replicate the
-//! simulator's CC and DSM accounting on the real implementations. These
+//! simulator's CC and DSM accounting on the real implementations, and the
+//! `Sched` backend charges the same tallies (the E7/E13 ledger). These
 //! tests pin that claim where it is exactly checkable: on a deterministic
 //! single-threaded schedule, the same operation sequence must produce
 //! *identical* per-operation RMR verdicts from both accountants.
 
 use rmr_core::swmr::SwmrWriterPriority;
 use rmr_mutex::mem::{self, Backend, Counting, Native, Ordering, SharedBool, SharedWord};
+use rmr_mutex::sched::Sched;
 use rmr_sim::cost::{AccessKind, CcModel, CostModel, DsmModel};
 use rmr_sim::mem::VarId;
 use rmr_sim::rng::SplitMix64;
@@ -62,9 +64,9 @@ impl Op {
     }
 }
 
-/// Applies `op` to a Counting word under `order` and returns `(cc, dsm)`
-/// charged for it.
-fn charged(word: &<Counting as Backend>::Word, op: Op, order: Ordering) -> (u64, u64) {
+/// Applies `op` to a word under `order` and returns `(cc, dsm)` charged
+/// for it.
+fn charged<W: SharedWord>(word: &W, op: Op, order: Ordering) -> (u64, u64) {
     let before = mem::thread_tally();
     match op {
         Op::Load => {
@@ -92,15 +94,21 @@ fn charged(word: &<Counting as Backend>::Word, op: Op, order: Ordering) -> (u64,
 
 /// The core cross-validation: 4 processes, 6 variables, 2000 pseudo-random
 /// operations. Every operation's CC and DSM verdict from the Counting
-/// backend must equal `CcModel` / `DsmModel::all_at(0)` fed the same
-/// schedule.
+/// backend, and from the Sched backend (off a scheduler task its operations
+/// run natively and still tally), must equal `CcModel` /
+/// `DsmModel::all_at(0)` fed the same schedule.
 #[test]
 fn counting_matches_sim_cost_models_on_deterministic_schedule() {
+    matches_sim_cost_models::<<Counting as Backend>::Word>();
+    matches_sim_cost_models::<<Sched as Backend>::Word>();
+}
+
+fn matches_sim_cost_models<W: SharedWord>() {
     const PROCS: usize = 4;
     const VARS: usize = 6;
     const STEPS: usize = 2000;
 
-    let words: Vec<<Counting as Backend>::Word> = (0..VARS).map(|_| SharedWord::new(0)).collect();
+    let words: Vec<W> = (0..VARS).map(|_| W::new(0)).collect();
     let mut cc = CcModel::new(PROCS, VARS);
     let mut dsm = DsmModel::all_at(0, VARS);
     let mut rng = SplitMix64::new(0xC0FFEE);
@@ -117,12 +125,16 @@ fn counting_matches_sim_cost_models_on_deterministic_schedule() {
         let want_dsm = u64::from(dsm.account(pid, VarId::from_index(var), op.kind()));
 
         assert_eq!(
-            got_cc, want_cc,
-            "CC divergence at step {step}: pid {pid}, var {var}, {op:?} ({order:?})"
+            got_cc,
+            want_cc,
+            "{}: CC divergence at step {step}: pid {pid}, var {var}, {op:?} ({order:?})",
+            std::any::type_name::<W>()
         );
         assert_eq!(
-            got_dsm, want_dsm,
-            "DSM divergence at step {step}: pid {pid}, var {var}, {op:?} ({order:?})"
+            got_dsm,
+            want_dsm,
+            "{}: DSM divergence at step {step}: pid {pid}, var {var}, {op:?} ({order:?})",
+            std::any::type_name::<W>()
         );
     }
 }

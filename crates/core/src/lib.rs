@@ -65,9 +65,11 @@
 //! [`mem`]), defaulted to [`mem::Native`] so the API above is what you see.
 //! Instantiating a lock with [`mem::Counting`] (via the `new_in`
 //! constructors) runs the *identical* algorithm code with every shared
-//! access tallied under the paper's CC and DSM cost models — experiment
-//! E13 (`real_rmr_table` in `rmr-bench`) verifies the O(1) claim on these
-//! real implementations, not just on `rmr-sim`'s line-level models.
+//! access tallied under the paper's CC and DSM cost models. The `Sched`
+//! backend charges the same tallies under a deterministic scheduler, and
+//! experiment E13 (`real_rmr_table` in `rmr-bench`) runs it to verify the
+//! O(1) claim on these real implementations, not just on `rmr-sim`'s
+//! line-level models.
 //!
 //! # Composing locks
 //!

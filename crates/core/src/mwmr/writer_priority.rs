@@ -29,7 +29,7 @@
 use crate::raw::{RawMultiWriter, RawRwLock, RawTryReadLock};
 use crate::registry::Pid;
 use crate::side::Side;
-use crate::swmr::writer_priority::{ReadSession, SwmrWriterPriority, WriteSession, WriterAttempt};
+use crate::swmr::writer_priority::{ReadSession, SwmrWriterPriority, WriteSession};
 use rmr_mutex::mem::{Backend, Native, Ordering as MemOrdering, SharedWord};
 use rmr_mutex::CachePadded;
 use rmr_mutex::{spin_until, AndersonLock, RawMutex};
@@ -255,7 +255,7 @@ impl<M: RawMutex, B: Backend> RawRwLock for MwmrWriterPriority<M, B> {
             // won its line-19 CAS but not yet executed line 20.
             spin_until(|| self.swmr.gate_is_open(prev_d));
             // line 13: SW-waiting-room() — Fig. 1 lines 4–12.
-            let session = self.swmr.writer_waiting_room(WriterAttempt::from_current_side(curr_d));
+            let session = self.swmr.waiting_room(curr_d);
             // The session token is intentionally discarded: in Figure 4 the
             // SWWP session outlives this writer (successors may inherit it),
             // so the closer reconstructs it in `write_unlock` instead.

@@ -82,33 +82,6 @@ impl<B: Backend> SideVars<B> {
     }
 }
 
-/// The writer's local state after the doorway (Fig. 1 lines 2–3): the side
-/// it attempts from and the side it must flush.
-#[derive(Debug, Clone, Copy)]
-pub struct WriterAttempt {
-    curr: Side,
-    prev: Side,
-}
-
-impl WriterAttempt {
-    /// Reconstructs the attempt state from the current side alone
-    /// (`prevD = ¬currD`). Used by the Figure 4 multi-writer algorithm,
-    /// where the doorway `D ← t` is performed on the writers' behalf.
-    pub fn from_current_side(curr: Side) -> Self {
-        Self { curr, prev: !curr }
-    }
-
-    /// The side this attempt enters from (`currD`).
-    pub fn current_side(&self) -> Side {
-        self.curr
-    }
-
-    /// The side this attempt must drain (`prevD`).
-    pub fn previous_side(&self) -> Side {
-        self.prev
-    }
-}
-
 /// A published, not-yet-granted write intent: the state of a write passage
 /// between the doorway (Fig. 1 lines 2–5 done) and the grant (line 13).
 ///
@@ -258,11 +231,12 @@ impl<B: Backend> SwmrWriterPriority<B> {
     // Writer role (Write-lock(), Fig. 1 lines 2–14)
     // ------------------------------------------------------------------
 
-    /// The writer's bounded doorway (lines 2–3): toggles `D`.
+    /// The writer's bounded doorway (lines 2–3): toggles `D` and returns
+    /// the side this attempt enters from (`currD`; `prevD = ¬currD`).
     ///
     /// Once the doorway completes, any reader that starts its own doorway
     /// afterwards is blocked behind this write attempt — that is WP1.
-    pub fn writer_doorway(&self) -> WriterAttempt {
+    fn writer_doorway(&self) -> Side {
         debug_assert!(
             !self.session_active.load(Ordering::SeqCst),
             "writer doorway while a write session is still open"
@@ -277,7 +251,7 @@ impl<B: Backend> SwmrWriterPriority<B> {
         // re-reads D at its line 18; any reader registered before it is
         // drained at line 6. (See DESIGN.md §13, site F1-L3.)
         self.d.store_at(Site::F1_L3, curr, MemOrdering::Relaxed); // line 3: D ← currD
-        WriterAttempt { curr, prev }
+        curr
     }
 
     /// Lines 4–5: reset `Permit[prevD]` and announce on `C[prevD]`.
@@ -333,19 +307,12 @@ impl<B: Backend> SwmrWriterPriority<B> {
         WriteSession { curr } // line 13: CRITICAL SECTION
     }
 
-    /// The writer's waiting room (lines 4–12): drains the previous side's
-    /// readers and the exit section, then grants the critical section.
-    pub fn writer_waiting_room(&self, attempt: WriterAttempt) -> WriteSession {
-        if self.announce_on_prev(attempt.curr) {
-            // line 6: wait till Permit[prevD]. Acquire pairs with the last
-            // reader's Release store (line 28) so its exit is visible.
-            spin_until(|| self.side(attempt.prev).permit.load(MemOrdering::Acquire));
-        }
-        if self.close_prev_and_announce_exit(attempt.curr) {
-            // line 11: wait till ExitPermit. Acquire pairs with line 30.
-            spin_until(|| self.exit_permit.load(MemOrdering::Acquire));
-        }
-        self.grant(attempt.curr)
+    /// The writer's waiting room (lines 4–12) for a doorway performed by
+    /// proxy: Figure 4 writes `D ← currD` on the writers' behalf (its line
+    /// 8) and runs this as its line 13, `SW-waiting-room()`.
+    pub(crate) fn waiting_room(&self, curr: Side) -> WriteSession {
+        let must_wait = self.announce_on_prev(curr); // lines 4–5
+        self.finish_write(WriteDoorway { curr, stage: DoorwayStage::DrainPrev { must_wait } })
     }
 
     /// The writer's whole try section: doorway + waiting room. Resolves an
@@ -363,7 +330,9 @@ impl<B: Backend> SwmrWriterPriority<B> {
         let exit_wait = match doorway.stage {
             DoorwayStage::DrainPrev { must_wait } => {
                 if must_wait {
-                    // line 6, as in writer_waiting_room.
+                    // line 6: wait till Permit[prevD]. Acquire pairs with
+                    // the last reader's Release store (line 28) so its exit
+                    // is visible.
                     spin_until(|| self.side(!curr).permit.load(MemOrdering::Acquire));
                 }
                 self.close_prev_and_announce_exit(curr)
@@ -371,7 +340,7 @@ impl<B: Backend> SwmrWriterPriority<B> {
             DoorwayStage::DrainExit { must_wait } => must_wait,
         };
         if exit_wait {
-            // line 11, as in writer_waiting_room.
+            // line 11: wait till ExitPermit. Acquire pairs with line 30.
             spin_until(|| self.exit_permit.load(MemOrdering::Acquire));
         }
         self.grant(curr)
@@ -425,9 +394,9 @@ impl<B: Backend> SwmrWriterPriority<B> {
                 return WriteDoorway { curr, stage: DoorwayStage::DrainPrev { must_wait: true } };
             }
         }
-        let attempt = self.writer_doorway(); // lines 2–3
-        let must_wait = self.announce_on_prev(attempt.curr); // lines 4–5
-        WriteDoorway { curr: attempt.curr, stage: DoorwayStage::DrainPrev { must_wait } }
+        let curr = self.writer_doorway(); // lines 2–3
+        let must_wait = self.announce_on_prev(curr); // lines 4–5
+        WriteDoorway { curr, stage: DoorwayStage::DrainPrev { must_wait } }
     }
 
     /// Advances the doorway by at most one waiting-room stage, testing

@@ -40,11 +40,11 @@
 //! Every lock here (and in `rmr-core`/`rmr-baselines`) is generic over a
 //! [`mem::Backend`] — [`Native`] by default (transparent `std` atomics,
 //! zero cost), [`Counting`], which tallies remote memory references
-//! under the paper's CC and DSM cost models *on the real implementations*
-//! (experiment E13), or [`Sched`], which routes every operation through a
-//! deterministic cooperative scheduler so the `rmr-check` crate can
-//! model-check the shipped lock code schedule by schedule (experiment
-//! E14). See [`mem`] for the model definitions and [`sched`] for the
+//! under the paper's CC and DSM cost models *on the real implementations*,
+//! or [`Sched`], which routes every operation through a deterministic
+//! cooperative scheduler so the `rmr-check` crate can model-check the
+//! shipped lock code schedule by schedule (experiment E14), and charges
+//! the same tallies, exactly and replayably (the E13 ledger). See [`mem`] for the model definitions and [`sched`] for the
 //! execution model.
 //!
 //! # Example

@@ -22,16 +22,19 @@
 //!   shipped implementations. Every access tallies, in thread-local
 //!   counters, whether it was a remote memory reference (RMR) under each
 //!   model. This closes the gap between "the line-level *model* of the
-//!   algorithm is O(1) RMR" (experiments E6–E8) and "the code you would
-//!   actually deploy is O(1) RMR" (experiment E13, the `real_rmr_table`
-//!   binary in `rmr-bench`).
+//!   algorithm is O(1) RMR" (experiments E6, E8) and "the code you would
+//!   actually deploy is O(1) RMR" (experiments E7/E13, the
+//!   `real_rmr_table` binary in `rmr-bench`, which charges these tallies
+//!   through [`Sched`](crate::sched::Sched)).
 //!
 //! A third backend, [`Sched`](crate::sched::Sched), lives in
 //! [`crate::sched`]: it routes every operation through a deterministic
 //! cooperative scheduler so the shipped lock code can be model-checked
 //! interleaving by interleaving (the `rmr-check` crate, experiment E14).
 //! Its weak-memory mode is the machine check behind every relaxed
-//! annotation in the workspace (DESIGN.md §13).
+//! annotation in the workspace (DESIGN.md §13). Its word charges the same
+//! CC/DSM tallies as a [`Counting`] word, one serialized operation at a
+//! time, which makes it the deterministic RMR ledger of E13.
 //!
 //! # The ordering policy (DESIGN.md §5 and §13)
 //!
@@ -88,11 +91,13 @@
 //! [`reset_thread_tally`], which is what a per-passage measurement loop
 //! does around each acquire/release pair.
 //!
-//! Under concurrency the copy-set updates interleave with (rather than
-//! atomically accompany) the accesses they describe, so concurrent tallies
-//! are a faithful sample rather than a replay-exact trace; on a
-//! single-threaded schedule the tallies equal `rmr-sim`'s models *exactly*
-//! (cross-validated in `rmr-bench/tests/counting_backend.rs`).
+//! On real threads running concurrently, a [`Counting`] word's copy-set
+//! updates interleave with (rather than atomically accompany) the accesses
+//! they describe, so its concurrent tallies are a faithful sample rather
+//! than a replay-exact trace. On a single-threaded schedule, and under
+//! [`Sched`](crate::sched::Sched), which serializes every operation, the
+//! tallies equal `rmr-sim`'s models *exactly* (cross-validated op for op in
+//! `rmr-bench/tests/counting_backend.rs`).
 //!
 //! # Example
 //!
@@ -534,20 +539,20 @@ pub fn thread_tally() -> Tally {
     })
 }
 
-/// The cached-copy set of one [`Counting`] variable — the per-variable
-/// `holders` word of `rmr-sim`'s `CcModel`, kept inline so no global
-/// variable registry is needed.
-struct CopySet(AtomicU64);
+/// The cached-copy set of one [`Counting`] (or [`Sched`](crate::sched::Sched))
+/// variable — the per-variable `holders` word of `rmr-sim`'s `CcModel`,
+/// kept inline so no global variable registry is needed.
+pub(crate) struct CopySet(AtomicU64);
 
 impl CopySet {
-    const fn new() -> Self {
+    pub(crate) const fn new() -> Self {
         Self(AtomicU64::new(0))
     }
 
     /// Accounts one read by the calling thread: CC-remote iff it holds no
     /// valid copy (which the read then establishes); DSM-remote iff it is
     /// not the home slot.
-    fn read(&self) {
+    pub(crate) fn read(&self) {
         THREAD.with(|t| {
             let mut s = t.get();
             let bit = 1u64 << s.slot;
@@ -561,7 +566,7 @@ impl CopySet {
 
     /// Accounts one update (store, swap, F&A, CAS — successful or not):
     /// CC-remote unless the updater is the sole holder; afterwards it is.
-    fn update(&self) {
+    pub(crate) fn update(&self) {
         THREAD.with(|t| {
             let mut s = t.get();
             let bit = 1u64 << s.slot;

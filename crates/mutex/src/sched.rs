@@ -12,6 +12,22 @@
 //! correctness properties the same way the `Counting` backend closed it for
 //! RMR accounting (DESIGN.md §9).
 //!
+//! # RMR accounting
+//!
+//! A [`SchedWord`] keeps the same cached-copy set as a
+//! [`Counting`](crate::mem::Counting) word and charges every operation it
+//! performs to the performing thread's CC/DSM tallies
+//! ([`mem::thread_tally`](crate::mem::thread_tally)). Each task is its own
+//! OS thread, so a task that claims a slot with
+//! [`mem::set_thread_slot`](crate::mem::set_thread_slot) reads its own
+//! per-passage tally. The scheduler runs one operation at a time, so the
+//! copy-set updates never interleave with another task's access: a
+//! schedule's tallies are exact, and they replay with it. Collapsing a
+//! futile spin changes no count, because the CC model charges a re-read
+//! only after an invalidation. This is the RMR ledger of experiment E13
+//! (`real_rmr_table` in `rmr-bench`). Operations off scheduler tasks run
+//! natively and still tally.
+//!
 //! # Why yield points at `Backend` operations suffice
 //!
 //! All inter-thread communication in the lock algorithms goes through the
@@ -122,7 +138,7 @@
 //! assert!(outcome.result.is_ok());
 //! ```
 
-use crate::mem::{Backend, Flag, Ordering, SharedWord, Site};
+use crate::mem::{Backend, CopySet, Flag, Ordering, SharedWord, Site};
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::fmt;
@@ -306,19 +322,23 @@ pub enum OpKind {
     Update,
 }
 
-/// [`Sched`]'s word: an `AtomicU64` behind a yield point.
+/// [`Sched`]'s word: an `AtomicU64` behind a yield point, charged to the
+/// performing thread's CC/DSM tallies exactly as a
+/// [`Counting`](crate::mem::Counting) word is.
 pub struct SchedWord {
     id: u32,
     inner: AtomicU64,
+    copies: CopySet,
 }
 
 impl SharedWord for SchedWord {
     fn new(value: u64) -> Self {
-        Self { id: fresh_var_id(), inner: AtomicU64::new(value) }
+        Self { id: fresh_var_id(), inner: AtomicU64::new(value), copies: CopySet::new() }
     }
 
     fn load(&self, _order: Ordering) -> u64 {
         step(Op { var: self.id, kind: OpKind::Load });
+        self.copies.read();
         let v = match forwarded_load(self.id) {
             Some(buffered) => buffered,
             None => self.inner.load(Ordering::SeqCst),
@@ -329,6 +349,7 @@ impl SharedWord for SchedWord {
 
     fn store(&self, value: u64, order: Ordering) {
         step(Op { var: self.id, kind: OpKind::Update });
+        self.copies.update();
         if buffer_store(self.id, &self.inner, value, order) {
             return; // buffered: invisible until a flush decision lands it
         }
@@ -338,6 +359,7 @@ impl SharedWord for SchedWord {
 
     fn swap(&self, value: u64, _order: Ordering) -> u64 {
         step(Op { var: self.id, kind: OpKind::Update });
+        self.copies.update();
         drain_own_buffer();
         let old = self.inner.swap(value, Ordering::SeqCst);
         let outcome = if old == value {
@@ -351,6 +373,7 @@ impl SharedWord for SchedWord {
 
     fn fetch_add(&self, delta: u64, _order: Ordering) -> u64 {
         step(Op { var: self.id, kind: OpKind::Update });
+        self.copies.update();
         drain_own_buffer();
         let old = self.inner.fetch_add(delta, Ordering::SeqCst);
         let outcome =
@@ -361,6 +384,7 @@ impl SharedWord for SchedWord {
 
     fn fetch_sub(&self, delta: u64, _order: Ordering) -> u64 {
         step(Op { var: self.id, kind: OpKind::Update });
+        self.copies.update();
         drain_own_buffer();
         let old = self.inner.fetch_sub(delta, Ordering::SeqCst);
         let outcome =
@@ -377,6 +401,7 @@ impl SharedWord for SchedWord {
         _failure: Ordering,
     ) -> Result<u64, u64> {
         step(Op { var: self.id, kind: OpKind::Update });
+        self.copies.update();
         drain_own_buffer();
         let r = self.inner.compare_exchange(current, new, Ordering::SeqCst, Ordering::SeqCst);
         let outcome = match r {

@@ -9,7 +9,7 @@
 //!
 //! Anderson's O(1) result is what made the paper's use of it as `M` free of
 //! charge; seeing these three separate cleanly in our model is the
-//! calibration that makes the E6/E7 tables trustworthy.
+//! calibration that makes the E6 tables trustworthy.
 
 use super::anderson::AndersonVars;
 use crate::machine::{Algorithm, Phase, Role, StepEvent};

@@ -11,8 +11,8 @@
 //! * [`cost`] — the CC (write-invalidate) and DSM RMR cost models;
 //! * [`machine`] — algorithms as PC-based step machines whose program
 //!   counters mirror the paper's line numbers;
-//! * [`algos`] — encodings of Figures 1–4, Anderson's lock, the baseline
-//!   locks, and deliberately broken mutants (§3.3/§4.3 regressions);
+//! * [`algos`] — encodings of Figures 1–4, Anderson's lock, the classic
+//!   mutexes, and deliberately broken mutants (§3.3/§4.3 regressions);
 //! * [`runner`] — schedulers (round-robin, seeded random, weighted
 //!   adversary) and per-attempt logging (timing, steps, RMRs);
 //! * [`explore`] — exhaustive bounded model checking over all

@@ -1,6 +1,6 @@
 //! The algorithm abstraction: processes as PC-based step machines.
 //!
-//! Every algorithm (the paper's Figures 1–4 and the baselines) is encoded
+//! Every algorithm (the paper's Figures 1–4 and the classic mutexes) is encoded
 //! as an implementation of [`Algorithm`]: a set of shared variables plus a
 //! per-process local state whose program counter mirrors the paper's line
 //! numbers. One call to [`Algorithm::step`] executes one atomic

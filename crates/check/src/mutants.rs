@@ -211,7 +211,7 @@ pub struct MutantSwap<B: Backend = Sched> {
     epoch: B::Word,
     /// Arena index of the current payload.
     payload: B::Word,
-    /// The reader epoch table (the registry's epoch slots, sans padding).
+    /// The reader epoch table (`Snapshot`'s epoch slots, sans padding).
     slots: Box<[B::Word]>,
     /// Freed flag per arena cell — the reclamation oracle.
     freed: Box<[B::Bool]>,

@@ -970,6 +970,17 @@ mod tests {
     use std::sync::Arc;
 
     #[test]
+    fn kv_shard_is_four_lines() {
+        // A `kv-zipf` shard: Fig. 1's hot and spin lines, then one line
+        // holding the Anderson mutex, the registry pointer and the map.
+        assert_eq!(std::mem::size_of::<MwmrStarvationFree>(), 384);
+        assert_eq!(
+            std::mem::size_of::<RwLock<std::collections::HashMap<u64, u64>, MwmrStarvationFree>>(),
+            512
+        );
+    }
+
+    #[test]
     fn read_and_write_guards_deref() {
         let lock = RwLock::starvation_free(vec![1, 2, 3], 2);
         let mut h = lock.register().unwrap();

@@ -26,6 +26,7 @@ use rmr_mutex::mem::{Backend, Native, Ordering as MemOrdering, SharedBool, Share
 use rmr_mutex::spin_until;
 use rmr_mutex::CachePadded;
 use std::fmt;
+#[cfg(debug_assertions)]
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Encoding of `X ∈ PID ∪ {true}`: pids are their integer value, `true` is
@@ -107,6 +108,7 @@ pub struct SwmrReaderPriority<B: Backend = Native> {
     count: CachePadded<B::Word>,
     /// Debug-only discipline check for the single writer role; plain `std`
     /// atomic, never RMR-accounted.
+    #[cfg(debug_assertions)]
     session_active: AtomicBool,
 }
 
@@ -129,6 +131,7 @@ impl<B: Backend> SwmrReaderPriority<B> {
             x: CachePadded::new(B::Word::new(0)),
             permit: CachePadded::new(B::Bool::new(true)),
             count: CachePadded::new(B::Word::new(0)),
+            #[cfg(debug_assertions)]
             session_active: AtomicBool::new(false),
         }
     }
@@ -204,7 +207,8 @@ impl<B: Backend> SwmrReaderPriority<B> {
     /// arriving and overtake the writer indefinitely (reader priority).
     #[inline]
     pub fn write_lock(&self, pid: Pid) -> WriteSession {
-        debug_assert!(
+        #[cfg(debug_assertions)]
+        assert!(
             !self.session_active.load(Ordering::SeqCst),
             "second writer entered the single-writer role"
         );
@@ -223,16 +227,22 @@ impl<B: Backend> SwmrReaderPriority<B> {
         self.promote(pid); // line 4: Promote()
                            // Acquire pairs with the promoter's Release store on line 16.
         spin_until(|| self.permit.load(MemOrdering::Acquire)); // line 5: wait till Permit
-        let was = self.session_active.swap(true, Ordering::SeqCst);
-        debug_assert!(!was);
+        #[cfg(debug_assertions)]
+        assert!(
+            !self.session_active.swap(true, Ordering::SeqCst),
+            "two write sessions open at once"
+        );
         WriteSession { d } // line 6: CRITICAL SECTION
     }
 
     /// The writer's exit section (lines 7–9). Bounded: three stores.
     #[inline]
     pub fn write_unlock(&self, pid: Pid, session: WriteSession) {
-        let was = self.session_active.swap(false, Ordering::SeqCst);
-        debug_assert!(was, "write_unlock without an open write session");
+        #[cfg(debug_assertions)]
+        assert!(
+            self.session_active.swap(false, Ordering::SeqCst),
+            "write_unlock without an open write session"
+        );
         let d = session.d;
         // Relaxed: this close must be visible before X can next become
         // true, and it is — it is sequenced before the line-9 SeqCst store
@@ -450,7 +460,7 @@ impl<B: Backend> RawTryReadLock for SwmrReaderPriority<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::sync::Arc;
     use std::time::Duration;
 

@@ -39,6 +39,7 @@ use rmr_mutex::mem::{Backend, Native, Ordering as MemOrdering, SharedBool, Share
 use rmr_mutex::spin_until;
 use rmr_mutex::CachePadded;
 use std::fmt;
+#[cfg(debug_assertions)]
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// `Zombie` encodings: an *abandoned* write passage (cancelled between the
@@ -60,26 +61,53 @@ fn zombie_side(encoded: u64) -> Side {
     Side::from_index(encoded as usize - 1)
 }
 
-/// Per-side shared variables: `Gate[d]`, `Permit[d]`, `C[d]`.
-struct SideVars<B: Backend> {
-    /// `Gate[d]`: readers on side `d` may enter the CS while open. Written
-    /// only by the writer role.
-    gate: CachePadded<B::Bool>,
-    /// `Permit[d]`: the last side-`d` reader out wakes the writer through
-    /// this flag.
-    permit: CachePadded<B::Bool>,
+/// The words every read passage reads or RMWs: `D`, `C[0]`, `C[1]` and
+/// `EC` (Fig. 1 lines 16–18, 26, 27, 29). They share one line, so an
+/// uncontended read passage misses on it once.
+struct HotLine<B: Backend> {
+    /// `D`: the side the writer is attempting from; written only by the
+    /// writer role (Fig. 1 line 3, or Fig. 4 line 8 by proxy).
+    d: AtomicSide<B>,
     /// `C[d] = [writer-waiting, reader-count]` for side `d`.
-    count: CachePadded<PackedFaa<B>>,
+    count: [PackedFaa<B>; 2],
+    /// `EC = [writer-waiting, exit-count]`.
+    exit_count: PackedFaa<B>,
 }
 
-impl<B: Backend> SideVars<B> {
-    fn new(gate_open: bool) -> Self {
-        Self {
-            gate: CachePadded::new(B::Bool::new(gate_open)),
-            permit: CachePadded::new(B::Bool::new(false)),
-            count: CachePadded::new(PackedFaa::new_in(B::default())),
-        }
-    }
+/// The flags that are spun on. Each is written O(1) times per write
+/// passage, so a spinner on this line is invalidated O(1) times per wait
+/// (DESIGN.md §8).
+struct SpinLine<B: Backend> {
+    /// `Gate[d]`: readers on side `d` may enter the CS while open. Written
+    /// only by the writer role.
+    gate: [B::Bool; 2],
+    /// `Permit[d]`: the last side-`d` reader out wakes the writer through
+    /// this flag.
+    permit: [B::Bool; 2],
+    /// `ExitPermit`: the last reader to leave the exit section wakes the
+    /// writer through this flag.
+    exit_permit: B::Bool,
+    /// `Zombie`: an abandoned write passage awaiting deferred completion
+    /// ([`ZOMBIE_NONE`] / [`zombie_encode`] / [`ZOMBIE_BUSY`]). Written by
+    /// [`SwmrWriterPriority::cancel_write`], claimed (CAS) and completed by
+    /// the last previous-side reader out or by the next
+    /// [`SwmrWriterPriority::start_write`]. Not part of Figure 1; see
+    /// DESIGN.md §15. It sits here, not on the hot line, because
+    /// `start_write` spins on it through a helper's three-store window.
+    zombie: B::Word,
+    /// Debug-only discipline check: true between waiting-room completion
+    /// and `writer_exit` (the "SWWP session" of Figure 4's commentary).
+    /// Not part of the algorithm's shared state, so it stays a plain
+    /// `std` atomic and is never RMR-accounted.
+    #[cfg(debug_assertions)]
+    session_active: AtomicBool,
+}
+
+/// Borrowed view of one side's variables: `Gate[d]`, `Permit[d]`, `C[d]`.
+struct SideVars<'a, B: Backend> {
+    gate: &'a B::Bool,
+    permit: &'a B::Bool,
+    count: &'a PackedFaa<B>,
 }
 
 /// A published, not-yet-granted write intent: the state of a write passage
@@ -178,27 +206,11 @@ impl ReadSession {
 /// lock.write_unlock(w);
 /// ```
 pub struct SwmrWriterPriority<B: Backend = Native> {
-    /// `D`: the side the writer is attempting from; written only by the
-    /// writer role (Fig. 1 line 3, or Fig. 4 line 8 by proxy).
-    d: AtomicSide<B>,
-    /// `Gate[d]`, `Permit[d]`, `C[d]` for `d ∈ {0, 1}`.
-    sides: [SideVars<B>; 2],
-    /// `EC = [writer-waiting, exit-count]`.
-    exit_count: CachePadded<PackedFaa<B>>,
-    /// `ExitPermit`: the last reader to leave the exit section wakes the
-    /// writer through this flag.
-    exit_permit: CachePadded<B::Bool>,
-    /// `Zombie`: an abandoned write passage awaiting deferred completion
-    /// ([`ZOMBIE_NONE`] / [`zombie_encode`] / [`ZOMBIE_BUSY`]). Written by
-    /// [`Self::cancel_write`], claimed (CAS) and completed by the last
-    /// previous-side reader out or by the next [`Self::start_write`].
-    /// Not part of Figure 1; see DESIGN.md §15.
-    zombie: CachePadded<B::Word>,
-    /// Debug-only discipline check: true between waiting-room completion
-    /// and `writer_exit` (the "SWWP session" of Figure 4's commentary).
-    /// Not part of the algorithm's shared state, so it stays a plain
-    /// `std` atomic and is never RMR-accounted.
-    session_active: AtomicBool,
+    /// `D`, `C[0..1]`, `EC`: what every read passage touches.
+    hot: CachePadded<HotLine<B>>,
+    /// `Gate[0..1]`, `Permit[0..1]`, `ExitPermit`, `Zombie`: what
+    /// processes spin on.
+    spin: CachePadded<SpinLine<B>>,
 }
 
 impl SwmrWriterPriority {
@@ -213,18 +225,40 @@ impl<B: Backend> SwmrWriterPriority<B> {
     /// Creates the lock in the paper's initial configuration over the given
     /// memory backend.
     pub fn new_in(backend: B) -> Self {
+        // Created in Figure 1's declaration order (`D`, then each side's
+        // `Gate`, `Permit`, `C`, then `EC`, `ExitPermit`, `Zombie`), not
+        // grouped by line: a `Sched` backend numbers its variables as they
+        // are created, and recorded schedules and faults name them by
+        // number.
+        let d = AtomicSide::new_in(Side::Zero, backend);
+        let side =
+            |gate_open| (B::Bool::new(gate_open), B::Bool::new(false), PackedFaa::new_in(backend));
+        let (gate0, permit0, count0) = side(true);
+        let (gate1, permit1, count1) = side(false);
+        let exit_count = PackedFaa::new_in(backend);
+        let exit_permit = B::Bool::new(false);
+        let zombie = B::Word::new(ZOMBIE_NONE);
         Self {
-            d: AtomicSide::new_in(Side::Zero, backend),
-            sides: [SideVars::new(true), SideVars::new(false)],
-            exit_count: CachePadded::new(PackedFaa::new_in(backend)),
-            exit_permit: CachePadded::new(B::Bool::new(false)),
-            zombie: CachePadded::new(B::Word::new(ZOMBIE_NONE)),
-            session_active: AtomicBool::new(false),
+            hot: CachePadded::new(HotLine { d, count: [count0, count1], exit_count }),
+            spin: CachePadded::new(SpinLine {
+                gate: [gate0, gate1],
+                permit: [permit0, permit1],
+                exit_permit,
+                zombie,
+                #[cfg(debug_assertions)]
+                session_active: AtomicBool::new(false),
+            }),
         }
     }
 
-    fn side(&self, d: Side) -> &SideVars<B> {
-        &self.sides[d.index()]
+    #[inline]
+    fn side(&self, d: Side) -> SideVars<'_, B> {
+        let i = d.index();
+        SideVars {
+            gate: &self.spin.gate[i],
+            permit: &self.spin.permit[i],
+            count: &self.hot.count[i],
+        }
     }
 
     // ------------------------------------------------------------------
@@ -237,20 +271,21 @@ impl<B: Backend> SwmrWriterPriority<B> {
     /// Once the doorway completes, any reader that starts its own doorway
     /// afterwards is blocked behind this write attempt — that is WP1.
     fn writer_doorway(&self) -> Side {
-        debug_assert!(
-            !self.session_active.load(Ordering::SeqCst),
+        #[cfg(debug_assertions)]
+        assert!(
+            !self.spin.session_active.load(Ordering::SeqCst),
             "writer doorway while a write session is still open"
         );
         // Relaxed: D is written only by the writer role, so this read of
         // our own last store needs no cross-thread ordering.
-        let prev = self.d.load(MemOrdering::Relaxed); // line 2: prevD ← D, currD ← ¬prevD
+        let prev = self.hot.d.load(MemOrdering::Relaxed); // line 2: prevD ← D, currD ← ¬prevD
         let curr = !prev;
         // Relaxed: the announce's visibility is carried by the SeqCst F&A
         // on C[prevD] at line 5 — any reader whose registration F&A
         // follows it inherits this store via the RMW release chain and
         // re-reads D at its line 18; any reader registered before it is
         // drained at line 6. (See DESIGN.md §13, site F1-L3.)
-        self.d.store_at(Site::F1_L3, curr, MemOrdering::Relaxed); // line 3: D ← currD
+        self.hot.d.store_at(Site::F1_L3, curr, MemOrdering::Relaxed); // line 3: D ← currD
         curr
     }
 
@@ -289,9 +324,9 @@ impl<B: Backend> SwmrWriterPriority<B> {
 
         // Relaxed reset: same argument as line 4, via the line-10 F&A and
         // the readers' line 29/30.
-        self.exit_permit.store(false, MemOrdering::Relaxed); // line 9: ExitPermit ← false
-                                                             // SeqCst: announce-then-wait on the exit section, as at line 5.
-        let old = self.exit_count.add_writer(MemOrdering::SeqCst); // line 10: F&A(EC, [1, 0])
+        self.spin.exit_permit.store(false, MemOrdering::Relaxed); // line 9: ExitPermit ← false
+                                                                  // SeqCst: announce-then-wait on the exit section, as at line 5.
+        let old = self.hot.exit_count.add_writer(MemOrdering::SeqCst); // line 10: F&A(EC, [1, 0])
         debug_assert!(!old.writer_waiting());
         old != Packed::ZERO
     }
@@ -299,11 +334,14 @@ impl<B: Backend> SwmrWriterPriority<B> {
     /// Line 12 and the session open: retire the exit-section announce and
     /// grant the critical section.
     fn grant(&self, curr: Side) -> WriteSession {
-        let old = self.exit_count.sub_writer(MemOrdering::SeqCst); // line 12: F&A(EC, [-1, 0])
+        let old = self.hot.exit_count.sub_writer(MemOrdering::SeqCst); // line 12: F&A(EC, [-1, 0])
         debug_assert!(old.writer_waiting());
 
-        let was = self.session_active.swap(true, Ordering::SeqCst);
-        debug_assert!(!was, "two write sessions open at once");
+        #[cfg(debug_assertions)]
+        assert!(
+            !self.spin.session_active.swap(true, Ordering::SeqCst),
+            "two write sessions open at once"
+        );
         WriteSession { curr } // line 13: CRITICAL SECTION
     }
 
@@ -341,7 +379,7 @@ impl<B: Backend> SwmrWriterPriority<B> {
         };
         if exit_wait {
             // line 11: wait till ExitPermit. Acquire pairs with line 30.
-            spin_until(|| self.exit_permit.load(MemOrdering::Acquire));
+            spin_until(|| self.spin.exit_permit.load(MemOrdering::Acquire));
         }
         self.grant(curr)
     }
@@ -366,17 +404,18 @@ impl<B: Backend> SwmrWriterPriority<B> {
         // about. Site F1-ZADOPT (SeqCst: the claim CAS must be totally
         // ordered against the helper's claim, see `help_abandoned`).
         loop {
-            let z = self.zombie.load(MemOrdering::SeqCst);
+            let z = self.spin.zombie.load(MemOrdering::SeqCst);
             if z == ZOMBIE_NONE {
                 break;
             }
             if z == ZOMBIE_BUSY {
                 // A helper is completing the abandoned passage (three
                 // stores); wait it out, then start fresh.
-                spin_until(|| self.zombie.load(MemOrdering::SeqCst) != ZOMBIE_BUSY);
+                spin_until(|| self.spin.zombie.load(MemOrdering::SeqCst) != ZOMBIE_BUSY);
                 continue;
             }
             if self
+                .spin
                 .zombie
                 .compare_exchange(z, ZOMBIE_NONE, MemOrdering::SeqCst, MemOrdering::SeqCst)
                 .is_ok()
@@ -386,11 +425,12 @@ impl<B: Backend> SwmrWriterPriority<B> {
                 // permit may already be up (the side may even have drained
                 // while abandoned) — the first poll will observe that.
                 let curr = zombie_side(z);
-                debug_assert!(
-                    !self.session_active.load(Ordering::SeqCst),
+                #[cfg(debug_assertions)]
+                assert!(
+                    !self.spin.session_active.load(Ordering::SeqCst),
                     "adopting a doorway while a write session is still open"
                 );
-                debug_assert_eq!(self.d.load(MemOrdering::Relaxed), curr);
+                debug_assert_eq!(self.hot.d.load(MemOrdering::Relaxed), curr);
                 return WriteDoorway { curr, stage: DoorwayStage::DrainPrev { must_wait: true } };
             }
         }
@@ -414,7 +454,7 @@ impl<B: Backend> SwmrWriterPriority<B> {
         }
         let DoorwayStage::DrainExit { must_wait } = doorway.stage else { unreachable!() };
         // line 11's condition, tested once. Acquire as in the spin.
-        if must_wait && !self.exit_permit.load(MemOrdering::Acquire) {
+        if must_wait && !self.spin.exit_permit.load(MemOrdering::Acquire) {
             return Err(doorway);
         }
         Ok(self.grant(curr))
@@ -445,7 +485,7 @@ impl<B: Backend> SwmrWriterPriority<B> {
         let curr = doorway.curr;
         match doorway.stage {
             DoorwayStage::DrainExit { .. } => {
-                let old = self.exit_count.sub_writer(MemOrdering::SeqCst); // undo line 10
+                let old = self.hot.exit_count.sub_writer(MemOrdering::SeqCst); // undo line 10
                 debug_assert!(old.writer_waiting());
                 // Empty passage's line 14: reopen our side.
                 self.side(curr).gate.store(true, MemOrdering::Release);
@@ -459,7 +499,7 @@ impl<B: Backend> SwmrWriterPriority<B> {
             }
             DoorwayStage::DrainPrev { must_wait: true } => {
                 // Site F1-ZPUB: publish the abandoned passage...
-                self.zombie.store(zombie_encode(curr), MemOrdering::SeqCst);
+                self.spin.zombie.store(zombie_encode(curr), MemOrdering::SeqCst);
                 // ...then re-check the drain (site F1-ZSCAN). A reader
                 // count of zero here proves every remaining reader's
                 // line-27 decrement precedes this load in the total order,
@@ -470,6 +510,7 @@ impl<B: Backend> SwmrWriterPriority<B> {
                 if self.side(!curr).count.load(MemOrdering::SeqCst).reader_count() == 0 {
                     let z = zombie_encode(curr);
                     if self
+                        .spin
                         .zombie
                         .compare_exchange(z, ZOMBIE_NONE, MemOrdering::SeqCst, MemOrdering::SeqCst)
                         .is_ok()
@@ -510,27 +551,31 @@ impl<B: Backend> SwmrWriterPriority<B> {
     /// keeping a fresh doorway from interleaving with the gate rewrites.
     fn help_abandoned(&self, drained: Side) {
         // Site F1-ZHELP: SeqCst — the other half of cancel_write's square.
-        let z = self.zombie.load(MemOrdering::SeqCst);
+        let z = self.spin.zombie.load(MemOrdering::SeqCst);
         if z == ZOMBIE_NONE || z == ZOMBIE_BUSY {
             return;
         }
         let curr = zombie_side(z);
         debug_assert_eq!(drained, !curr, "zombie announce is always on the previous side");
         if self
+            .spin
             .zombie
             .compare_exchange(z, ZOMBIE_BUSY, MemOrdering::SeqCst, MemOrdering::SeqCst)
             .is_ok()
         {
             self.complete_abandoned(curr);
-            self.zombie.store(ZOMBIE_NONE, MemOrdering::SeqCst);
+            self.spin.zombie.store(ZOMBIE_NONE, MemOrdering::SeqCst);
         }
     }
 
     /// The writer's exit section (line 14): opens the gate of the session's
     /// side, releasing every reader parked there. Bounded (single step).
     pub fn writer_exit(&self, session: WriteSession) {
-        let was = self.session_active.swap(false, Ordering::SeqCst);
-        debug_assert!(was, "writer_exit without an open write session");
+        #[cfg(debug_assertions)]
+        assert!(
+            self.spin.session_active.swap(false, Ordering::SeqCst),
+            "writer_exit without an open write session"
+        );
         // line 14: Gate[D] ← true (D still equals the session's currD).
         // Release: hands the write session's CS writes to every reader
         // whose Acquire gate spin (line 24) observes the open.
@@ -553,21 +598,21 @@ impl<B: Backend> SwmrWriterPriority<B> {
     fn reader_doorway(&self) -> Side {
         // Relaxed: a stale D here only picks the wrong side provisionally;
         // the SeqCst F&A at line 17 and the re-check at line 18 divert us.
-        let mut d = self.d.load(MemOrdering::Relaxed); // line 16: d ← D
-                                                       // SeqCst: the registration F&A — its order against the writer's
-                                                       // line 5/7 F&As decides "waited for" vs "diverted", and reading
-                                                       // the writer's release RMW carries the writer's D announce into
-                                                       // the re-check below.
+        let mut d = self.hot.d.load(MemOrdering::Relaxed); // line 16: d ← D
+                                                           // SeqCst: the registration F&A — its order against the writer's
+                                                           // line 5/7 F&As decides "waited for" vs "diverted", and reading
+                                                           // the writer's release RMW carries the writer's D announce into
+                                                           // the re-check below.
         self.side(d).count.add_reader(MemOrdering::SeqCst); // line 17: F&A(C[d], [0, 1])
                                                             // Relaxed: freshness is inherited from the line-17 F&A (see above);
                                                             // no further ordering is needed on the load itself.
-        let d2 = self.d.load(MemOrdering::Relaxed); // line 18: d′ ← D
+        let d2 = self.hot.d.load(MemOrdering::Relaxed); // line 18: d′ ← D
         if d != d2 {
             // line 19: if (d ≠ d′)
             self.side(d2).count.add_reader(MemOrdering::SeqCst); // line 20: F&A(C[d′], [0, 1])
-            d = self.d.load(MemOrdering::Relaxed); // line 21: d ← D
-                                                   // Registered on both sides; retire from the one we don't belong
-                                                   // to (d̄, the complement of the side just re-read).
+            d = self.hot.d.load(MemOrdering::Relaxed); // line 21: d ← D
+                                                       // Registered on both sides; retire from the one we don't belong
+                                                       // to (d̄, the complement of the side just re-read).
             let other = !d;
             let old = self.side(other).count.sub_reader(MemOrdering::SeqCst); // line 22: F&A(C[d̄], [0, -1])
             if old == Packed::ONE_ONE {
@@ -640,7 +685,7 @@ impl<B: Backend> SwmrWriterPriority<B> {
         // SeqCst F&As: the exit-section counters run the same
         // announce-then-wake protocol as the try section; their place in
         // the total order against the writer's line 10/12 is load-bearing.
-        self.exit_count.add_reader(MemOrdering::SeqCst); // line 26: F&A(EC, [0, 1])
+        self.hot.exit_count.add_reader(MemOrdering::SeqCst); // line 26: F&A(EC, [0, 1])
         let old = self.side(d).count.sub_reader(MemOrdering::SeqCst); // line 27: F&A(C[d], [0, -1])
         if old == Packed::ONE_ONE {
             // Release pairs with the writer's Acquire spin at line 6
@@ -652,10 +697,10 @@ impl<B: Backend> SwmrWriterPriority<B> {
             // (site F1-ZHELP; see cancel_write).
             self.help_abandoned(d);
         }
-        let old = self.exit_count.sub_reader(MemOrdering::SeqCst); // line 29: F&A(EC, [0, -1])
+        let old = self.hot.exit_count.sub_reader(MemOrdering::SeqCst); // line 29: F&A(EC, [0, -1])
         if old == Packed::ONE_ONE {
             // Release pairs with the writer's Acquire spin at line 11.
-            self.exit_permit.store(true, MemOrdering::Release); // line 30
+            self.spin.exit_permit.store(true, MemOrdering::Release); // line 30
         }
     }
 
@@ -668,7 +713,7 @@ impl<B: Backend> SwmrWriterPriority<B> {
         // Acquire: Fig. 4 readers call this after their registration F&A
         // and writers under lock M; Acquire is already stronger than
         // either caller needs, and keeps the helper caller-agnostic.
-        self.d.load(MemOrdering::Acquire)
+        self.hot.d.load(MemOrdering::Acquire)
     }
 
     /// Writes `D ← side` — the doorway performed *on the writers' behalf*
@@ -680,7 +725,7 @@ impl<B: Backend> SwmrWriterPriority<B> {
         // registration F&As the Fig. 4 proof uses directly; unlike the
         // single-writer line 3 there is no adjacent same-thread RMW on the
         // partner variable to carry a weaker store.
-        self.d.store(side, MemOrdering::SeqCst);
+        self.hot.d.store(side, MemOrdering::SeqCst);
     }
 
     /// Whether `Gate[side]` is open (Fig. 4 line 12 waits on this).
@@ -696,9 +741,9 @@ impl<B: Backend> SwmrWriterPriority<B> {
         // after the worker threads have been joined, and a join is already
         // a synchronization point.
         (
-            self.sides[0].count.load(MemOrdering::Relaxed),
-            self.sides[1].count.load(MemOrdering::Relaxed),
-            self.exit_count.load(MemOrdering::Relaxed),
+            self.hot.count[0].load(MemOrdering::Relaxed),
+            self.hot.count[1].load(MemOrdering::Relaxed),
+            self.hot.exit_count.load(MemOrdering::Relaxed),
         )
     }
 
@@ -711,14 +756,14 @@ impl<B: Backend> SwmrWriterPriority<B> {
     pub fn is_quiescent(&self) -> bool {
         let (c0, c1, ec) = self.counters();
         // Relaxed: at-rest read, see `counters`.
-        let d = self.d.load(MemOrdering::Relaxed);
+        let d = self.hot.d.load(MemOrdering::Relaxed);
         c0 == Packed::ZERO
             && c1 == Packed::ZERO
             && ec == Packed::ZERO
             && self.gate_is_open(d)
             && !self.gate_is_open(!d)
             // No abandoned passage awaiting deferred completion.
-            && self.zombie.load(MemOrdering::Relaxed) == ZOMBIE_NONE
+            && self.spin.zombie.load(MemOrdering::Relaxed) == ZOMBIE_NONE
     }
 }
 
@@ -732,7 +777,7 @@ impl<B: Backend> fmt::Debug for SwmrWriterPriority<B> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let (c0, c1, ec) = self.counters();
         f.debug_struct("SwmrWriterPriority")
-            .field("d", &self.d.load(MemOrdering::Relaxed))
+            .field("d", &self.hot.d.load(MemOrdering::Relaxed))
             .field("c0", &c0)
             .field("c1", &c1)
             .field("ec", &ec)
@@ -819,7 +864,7 @@ unsafe impl<B: Backend> RawParkedWaiters for SwmrWriterPriority<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::sync::Arc;
     use std::time::Duration;
 
@@ -1091,5 +1136,49 @@ mod tests {
         lock.write_unlock(w);
         let (c0, c1, ec) = lock.counters();
         assert_eq!((c0, c1, ec), (Packed::ZERO, Packed::ZERO, Packed::ZERO));
+    }
+
+    /// The 128-B line holding the byte at `addr`.
+    fn line_of(addr: usize) -> usize {
+        addr / 128
+    }
+
+    /// The lines `v` spans, first and last.
+    fn lines<T>(v: &T) -> (usize, usize) {
+        let start = v as *const T as usize;
+        (line_of(start), line_of(start + std::mem::size_of::<T>() - 1))
+    }
+
+    #[test]
+    fn native_lock_is_two_lines() {
+        // The hot line and the spin line. Debug builds fit the
+        // `session_active` check into the spin line's spare bytes.
+        assert_eq!(std::mem::size_of::<SwmrWriterPriority<Native>>(), 256);
+    }
+
+    #[test]
+    fn read_passage_words_share_one_line_without_spin_flags() {
+        let lock = SwmrWriterPriority::new();
+        let hot = &lock.hot;
+        let (line, _) = lines(&hot.d);
+        for (name, span) in [
+            ("D", lines(&hot.d)),
+            ("C[0]", lines(&hot.count[0])),
+            ("C[1]", lines(&hot.count[1])),
+            ("EC", lines(&hot.exit_count)),
+        ] {
+            assert_eq!(span, (line, line), "{name} is off the hot line");
+        }
+        let spin = &lock.spin;
+        for (name, (first, last)) in [
+            ("Gate[0]", lines(&spin.gate[0])),
+            ("Gate[1]", lines(&spin.gate[1])),
+            ("Permit[0]", lines(&spin.permit[0])),
+            ("Permit[1]", lines(&spin.permit[1])),
+            ("ExitPermit", lines(&spin.exit_permit)),
+            ("Zombie", lines(&spin.zombie)),
+        ] {
+            assert!(first != line && last != line, "{name} shares the hot line");
+        }
     }
 }

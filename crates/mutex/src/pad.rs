@@ -8,8 +8,12 @@ use std::ops::{Deref, DerefMut};
 /// one cannot be invalidated by traffic on the other.
 ///
 /// This matters for the RMR accounting the workspace is about: the paper's
-/// O(1) bounds assume each busy-wait variable occupies its own coherence
-/// unit. 128 bytes covers the common 64-byte line plus the spatial
+/// O(1) bounds count variables, but hardware invalidates whole lines, so a
+/// spinner pays for every write to *its line*. A busy-wait variable keeps
+/// its O(1) bound as long as its line takes O(1) writes per wait: it may
+/// share a `CachePadded` group with other rarely written flags (Figure 1's
+/// spin line holds its gates, permits and `Zombie`), but not with words
+/// that every passage writes, such as a reader counter. 128 bytes covers the common 64-byte line plus the spatial
 /// prefetcher pairing on recent x86, and the 128-byte lines on some ARM
 /// and POWER parts.
 ///

@@ -679,8 +679,10 @@ impl TaskCtx {
             st.current = None;
             st.waiting[self.id] = true;
             st.pending[self.id] = Some(op);
-            self.shared.cv.notify_all();
-            st = self.shared.wait_until(st, |s| s.poisoned || s.current == Some(self.id));
+            self.shared.controller.notify_one();
+            st = self.shared.wait_until(&self.shared.tasks[self.id], st, |s| {
+                s.poisoned || s.current == Some(self.id)
+            });
             if st.poisoned {
                 st.waiting[self.id] = false;
                 drop(st);
@@ -696,8 +698,10 @@ impl TaskCtx {
     fn first_wait(&self) {
         let mut st = self.shared.lock_state();
         st.waiting[self.id] = true;
-        self.shared.cv.notify_all();
-        st = self.shared.wait_until(st, |s| s.poisoned || s.current == Some(self.id));
+        self.shared.controller.notify_one();
+        st = self.shared.wait_until(&self.shared.tasks[self.id], st, |s| {
+            s.poisoned || s.current == Some(self.id)
+        });
         if st.poisoned {
             st.waiting[self.id] = false;
             drop(st);
@@ -742,7 +746,7 @@ fn task_main(id: usize, shared: Arc<Shared>, body: Box<dyn FnOnce() + Send>) {
             st.panics[id] = Some(msg);
         }
     }
-    shared.cv.notify_all();
+    shared.controller.notify_one();
 }
 
 // ---------------------------------------------------------------------
@@ -819,7 +823,12 @@ impl State {
 
 struct Shared {
     state: Mutex<State>,
-    cv: Condvar,
+    /// One wake-up per task: the controller's grant wakes only the task
+    /// it names.
+    tasks: Vec<Condvar>,
+    /// The controller's wake-up: a task ending its turn, arriving or
+    /// finishing wakes only the controller.
+    controller: Condvar,
     /// The fault armed on the controlling thread when the run started.
     fault: Option<Fault>,
 }
@@ -838,7 +847,8 @@ impl Shared {
                 weak,
                 poisoned: false,
             }),
-            cv: Condvar::new(),
+            tasks: (0..n).map(|_| Condvar::new()).collect(),
+            controller: Condvar::new(),
             fault,
         }
     }
@@ -847,16 +857,18 @@ impl Shared {
         self.state.lock().expect("scheduler state mutex poisoned")
     }
 
-    /// Waits on the condvar until `pred` holds, panicking if the protocol
-    /// wedges (no transition for [`WEDGE_TIMEOUT`]).
+    /// Waits on `cv` (the caller's own wake-up) until `pred` holds,
+    /// panicking if the protocol wedges (no transition for
+    /// [`WEDGE_TIMEOUT`]).
     fn wait_until<'a>(
         &'a self,
+        cv: &Condvar,
         mut guard: MutexGuard<'a, State>,
         pred: impl Fn(&State) -> bool,
     ) -> MutexGuard<'a, State> {
         while !pred(&guard) {
             let (g, timeout) =
-                self.cv.wait_timeout(guard, WEDGE_TIMEOUT).expect("scheduler state mutex poisoned");
+                cv.wait_timeout(guard, WEDGE_TIMEOUT).expect("scheduler state mutex poisoned");
             guard = g;
             if timeout.timed_out() && !pred(&guard) {
                 panic!(
@@ -866,6 +878,14 @@ impl Shared {
             }
         }
         guard
+    }
+
+    /// Grants task `t` one turn, waking only that task, and waits until
+    /// the turn ends.
+    fn grant<'a>(&'a self, mut st: MutexGuard<'a, State>, t: usize) -> MutexGuard<'a, State> {
+        st.current = Some(t);
+        self.tasks[t].notify_one();
+        self.wait_until(&self.controller, st, |s| s.current.is_none())
     }
 }
 
@@ -1072,8 +1092,9 @@ pub fn run_tasks_in(
     // yield point (or already finished), so the first decision sees the
     // full candidate set regardless of OS spawn timing.
     let mut st = shared.lock_state();
-    st = shared
-        .wait_until(st, |s| (0..n).all(|i| s.waiting[i] || s.finished[i]) && s.current.is_none());
+    st = shared.wait_until(&shared.controller, st, |s| {
+        (0..n).all(|i| s.waiting[i] || s.finished[i]) && s.current.is_none()
+    });
 
     let result = 'run: loop {
         let unfinished: Vec<usize> = (0..n).filter(|&i| !st.finished[i]).collect();
@@ -1113,9 +1134,7 @@ pub fn run_tasks_in(
                         revived = true;
                         break 'confirm;
                     }
-                    st.current = Some(t);
-                    shared.cv.notify_all();
-                    st = shared.wait_until(st, |s| s.current.is_none());
+                    st = shared.grant(st, t);
                     steps += 1;
                     let someone_moved = (0..n).any(|i| !st.finished[i] && !st.stall[i].stalled())
                         || !st.flush_candidates(n).is_empty();
@@ -1178,9 +1197,7 @@ pub fn run_tasks_in(
         }
 
         last = Some(pick);
-        st.current = Some(pick);
-        shared.cv.notify_all();
-        st = shared.wait_until(st, |s| s.current.is_none());
+        st = shared.grant(st, pick);
         steps += 1;
     };
 
@@ -1188,9 +1205,11 @@ pub fn run_tasks_in(
     // reap every thread.
     if result.is_err() {
         st.poisoned = true;
-        shared.cv.notify_all();
+        for cv in &shared.tasks {
+            cv.notify_all();
+        }
     }
-    st = shared.wait_until(st, |s| (0..n).all(|i| s.finished[i]));
+    st = shared.wait_until(&shared.controller, st, |s| (0..n).all(|i| s.finished[i]));
     drop(st);
     for h in handles {
         // Aborted tasks panicked by design; their join errors are expected.

@@ -16,13 +16,14 @@
 //! # The protocol
 //!
 //! Shared state: a global epoch counter `G` (starts at 1), the current
-//! payload pointer `P`, and one cache-padded epoch slot per pid in the
-//! lock's [`PidRegistry`] (0 = empty). The accesses that carry the
-//! grace-period argument — the reader's epoch publish and payload load,
-//! the writer's payload swap, epoch bump, and table scan (sites SW-PUB,
-//! SW-LOAD, SW-SWAP, SW-BUMP, SW-SCAN in DESIGN.md §13) — are `SeqCst`;
-//! everything else (the initial epoch read, lock-protected accesses,
-//! diagnostics) is relaxed, with the justification at each site.
+//! payload pointer `P`, and the snapshot's *epoch table*: one
+//! cache-padded slot per pid of its [`PidRegistry`] (0 = empty). The
+//! accesses that carry the grace-period argument — the reader's epoch
+//! publish and payload load, the writer's payload swap, epoch bump, and
+//! table scan (sites SW-PUB, SW-LOAD, SW-SWAP, SW-BUMP, SW-SCAN in
+//! DESIGN.md §13) — are `SeqCst`; everything else (the initial epoch
+//! read, lock-protected accesses, diagnostics) is relaxed, with the
+//! justification at each site.
 //!
 //! *Reader pin* ([`Snapshot::load`]):
 //!
@@ -136,12 +137,17 @@ use rmr_core::registry::{Pid, PidRegistry};
 use rmr_core::rwlock::{lease_pid, release_pid, PidSource};
 use rmr_mutex::mem::{Backend, Native, Ordering as MemOrdering, SharedWord};
 use rmr_mutex::spin_until;
+use rmr_mutex::CachePadded;
 use rmr_obs::{Event, Metric, NoopRecorder, Recorder};
 use std::fmt;
 use std::marker::PhantomData;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+
+/// Sentinel stored in an epoch slot that has nothing published. `G`
+/// starts at 1 precisely so 0 can mean "empty".
+const EPOCH_EMPTY: u64 = 0;
 
 // ---------------------------------------------------------------------
 // Retirement policies
@@ -228,8 +234,16 @@ where
     /// it; the (lock-serialized) writer is the only swapper, so there is
     /// no ABA to defend against.
     payload: B::Word,
-    /// Pid slots double as the reader epoch table (see `PidRegistry`).
+    /// Leases the pids that index `epochs`.
     registry: Arc<PidRegistry<B>>,
+    /// The reader epoch table: slot `i` holds the epoch pid `i` reads
+    /// under, or [`EPOCH_EMPTY`]. It is keyed by the registry's pids
+    /// because ownership of a slot is exactly ownership of a pid: a
+    /// leaked guard keeps its pid reserved, and a reserved pid keeps its
+    /// published epoch pinned. Each slot is padded to its own line so a
+    /// reader's publish and clear stay local (zero CC RMRs in steady
+    /// state) and never contend with a neighbor's.
+    epochs: Box<[CachePadded<B::Word>]>,
     /// Serializes writers. Readers never touch it.
     lock: L,
     policy: P,
@@ -327,6 +341,10 @@ where
             epoch: B::Word::new(1),
             payload: B::Word::new(Box::into_raw(Box::new(value)) as u64),
             registry: Arc::new(PidRegistry::new_in(capacity, backend)),
+            // Created right after the registry's `in_use` cells: `Sched`
+            // numbers variables in creation order, and recorded schedules
+            // and faults name them by number.
+            epochs: (0..capacity).map(|_| CachePadded::new(B::Word::new(EPOCH_EMPTY))).collect(),
             lock,
             policy,
             retired: Mutex::new(Vec::new()),
@@ -366,6 +384,7 @@ where
                 epoch: std::ptr::read(&this.epoch),
                 payload: std::ptr::read(&this.payload),
                 registry: std::ptr::read(&this.registry),
+                epochs: std::ptr::read(&this.epochs),
                 lock: std::ptr::read(&this.lock),
                 policy: std::ptr::read(&this.policy),
                 retired: std::ptr::read(&this.retired),
@@ -392,7 +411,7 @@ where
     /// published epoch.
     pub fn load_with(&self, pid: Pid) -> SnapGuard<'_, T, L, P, B, R> {
         debug_assert!(
-            self.registry.published_epoch(pid.index()).is_none(),
+            self.published_epoch(pid.index()).is_none(),
             "pid {pid} already has an open snapshot guard"
         );
         let (value, epoch) = self.pin(pid);
@@ -407,8 +426,8 @@ where
         // lower epoch, which over-pins — safe (module docs). The ordering
         // the proof needs starts at the publish below.
         let mut e = self.epoch.load(MemOrdering::Relaxed);
-        // `publish_epoch` is SeqCst (site SW-PUB, in the registry).
-        self.registry.publish_epoch(pid, e);
+        // `publish_epoch` is SeqCst (site SW-PUB).
+        self.publish_epoch(pid, e);
         // Site SW-LOAD: the load half of the reader's publish-then-load
         // SB square. SeqCst keeps it after the publish in the single
         // total order — a writer's scan that misses the publication must
@@ -424,7 +443,7 @@ where
             // one and reload so we hold the newest payload and block no
             // reclamation beyond one round. Exactly one bounded retry:
             // wait-freedom does not depend on writers pausing.
-            self.registry.publish_epoch(pid, e2);
+            self.publish_epoch(pid, e2);
             p = self.payload.load(MemOrdering::SeqCst); // site SW-LOAD again
             e = e2;
         }
@@ -493,8 +512,8 @@ where
             // re-check), so re-scanning drains in at most one extra
             // round per such straggler.
             loop {
-                for slot in 0..self.registry.capacity() {
-                    spin_until(|| match self.registry.published_epoch(slot) {
+                for slot in 0..self.capacity() {
+                    spin_until(|| match self.published_epoch(slot) {
                         None => true,
                         Some(published) => published >= r,
                     });
@@ -523,7 +542,7 @@ where
         // Read the epoch table *before* taking the list mutex: the scan
         // touches shared (possibly Sched-scheduled) memory, the mutex
         // must stay a leaf.
-        let min = self.registry.min_published_epoch().unwrap_or(u64::MAX);
+        let min = self.min_published_epoch().unwrap_or(u64::MAX);
         let mut freeable = Vec::new();
         {
             let mut retired = self.retired.lock().expect("retired list poisoned");
@@ -553,7 +572,7 @@ where
 
     /// Number of reader slots with a published epoch (open guards).
     pub fn published(&self) -> usize {
-        self.registry.published_epochs()
+        (0..self.capacity()).filter(|&i| self.published_epoch(i).is_some()).count()
     }
 
     /// The current global epoch (= number of installs + 1).
@@ -580,7 +599,7 @@ where
         self.published() == 0 && self.retired() == 0
     }
 
-    /// The pid registry doubling as the reader epoch table. Allocate
+    /// The pid registry whose pids index the reader epoch table. Allocate
     /// from it for the `*_with` methods.
     pub fn registry(&self) -> &Arc<PidRegistry<B>> {
         &self.registry
@@ -594,6 +613,69 @@ where
     /// The raw lock serializing writers.
     pub fn raw(&self) -> &L {
         &self.lock
+    }
+}
+
+/// The reader epoch table. No `T` bounds: a guard's drop clears its slot.
+impl<T, L, P, B, R> Snapshot<T, L, P, B, R>
+where
+    L: RawRwLock,
+    P: RetirePolicy,
+    B: Backend,
+    R: Recorder,
+{
+    /// Publishes `epoch` in `pid`'s epoch slot: from this store until
+    /// [`Self::clear_epoch`], every payload retired at an epoch greater
+    /// than `epoch` is pinned against reclamation.
+    ///
+    /// The store targets the pid's own cache-padded slot, so in steady
+    /// state (the publisher is the slot's sole cached holder) it costs
+    /// zero cache-coherence RMRs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `epoch` is 0 (the empty sentinel).
+    fn publish_epoch(&self, pid: Pid, epoch: u64) {
+        assert!(epoch != EPOCH_EMPTY, "epoch 0 is the empty sentinel");
+        // SeqCst — this store is one half of a store-buffer pattern and
+        // may NOT be demoted: the reader publishes, then re-loads the
+        // global epoch/payload; the writer swaps the payload, then scans
+        // this table. Only the SC total order makes "writer missed the
+        // publication ⇒ reader sees the new payload" exhaustive; with a
+        // Release store the publication could sit in a write buffer while
+        // the reader pins a payload the writer already freed. Guarded by
+        // the `DemotePublishEpoch` mutant in `rmr-check` (DESIGN.md §13).
+        self.epochs[pid.index()].store(epoch, MemOrdering::SeqCst);
+    }
+
+    /// Clears `pid`'s epoch slot, releasing whatever its published epoch
+    /// pinned. Idempotent.
+    fn clear_epoch(&self, pid: Pid) {
+        // Release: the reader's payload accesses must complete before the
+        // unpin becomes visible, or the writer could reclaim under them.
+        self.epochs[pid.index()].store(EPOCH_EMPTY, MemOrdering::Release);
+    }
+
+    /// The epoch published in slot `index`, or `None` if the slot is
+    /// empty.
+    fn published_epoch(&self, index: usize) -> Option<u64> {
+        // SeqCst: the grace-period scan is the load half of the
+        // store-buffer pattern described at `publish_epoch` — it must be
+        // ordered after the writer's epoch bump in the single total
+        // order, or the scan could miss a publication the bump did not
+        // forestall.
+        match self.epochs[index].load(MemOrdering::SeqCst) {
+            EPOCH_EMPTY => None,
+            e => Some(e),
+        }
+    }
+
+    /// The minimum epoch published across all slots, or `None` if no slot
+    /// has anything published. One bounded O(capacity) scan — the
+    /// grace-period read of [`Self::reclaim`]: every retired payload whose
+    /// retirement epoch is ≤ the returned minimum is reclaimable.
+    fn min_published_epoch(&self) -> Option<u64> {
+        (0..self.epochs.len()).filter_map(|i| self.published_epoch(i)).min()
     }
 }
 
@@ -624,7 +706,12 @@ where
     pub fn load(&self) -> SnapGuard<'_, T, L, P, Native, R> {
         let (pid, source) = lease_pid(&self.registry)
             .unwrap_or_else(|e| panic!("cannot lease a pid for a snapshot read: {e}"));
-        let lease = Some(LeaseToken { registry: &self.registry, pid, source });
+        let lease = Some(LeaseToken {
+            registry: &self.registry,
+            epoch: &self.epochs[pid.index()],
+            pid,
+            source,
+        });
         let (value, epoch) = self.pin(pid);
         SnapGuard { snap: self, pid, epoch, value, lease, _not_send: PhantomData }
     }
@@ -696,15 +783,25 @@ where
 /// Returns a leased pid on drop. Kept as a separate owned field of
 /// [`SnapGuard`], declared *after* the fields its drop must follow: the
 /// guard's own `Drop` clears the published epoch first, then this token
-/// releases the pid — the registry debug-asserts that order.
+/// releases the pid.
 struct LeaseToken<'s> {
     registry: &'s Arc<PidRegistry>,
+    /// The pid's epoch slot, checked empty before the pid is re-issued.
+    epoch: &'s <Native as Backend>::Word,
     pid: Pid,
     source: PidSource,
 }
 
 impl Drop for LeaseToken<'_> {
     fn drop(&mut self) {
+        // The epoch must be cleared before its pid can be re-issued, or
+        // the next holder would inherit a stale pin.
+        debug_assert_eq!(
+            self.epoch.load(MemOrdering::Relaxed),
+            EPOCH_EMPTY,
+            "released pid {} with a published epoch still pinned",
+            self.pid
+        );
         release_pid(self.registry, self.pid, self.source);
     }
 }
@@ -784,7 +881,7 @@ where
     fn drop(&mut self) {
         // Unpin first; the lease token (if any) then releases the pid —
         // struct Drop runs before field drops, giving exactly that order.
-        self.snap.registry.clear_epoch(self.pid);
+        self.snap.clear_epoch(self.pid);
     }
 }
 
@@ -1040,6 +1137,70 @@ mod tests {
             assert_steady_state_loads_are_rmr_free(RetireEager, readers, 500);
             assert_steady_state_loads_are_rmr_free(RetireBatched { high_water: 8 }, readers, 500);
         }
+    }
+
+    #[test]
+    fn epoch_publish_clear_round_trip() {
+        let snap = Snapshot::new(0u8, 3);
+        let pid = snap.registry().allocate().unwrap();
+        assert_eq!(snap.published_epoch(pid.index()), None);
+        snap.publish_epoch(pid, 7);
+        assert_eq!(snap.published_epoch(pid.index()), Some(7));
+        snap.publish_epoch(pid, 9); // republish overwrites
+        assert_eq!(snap.published_epoch(pid.index()), Some(9));
+        snap.clear_epoch(pid);
+        assert_eq!(snap.published_epoch(pid.index()), None);
+        snap.clear_epoch(pid); // idempotent
+        snap.registry().release(pid);
+    }
+
+    #[test]
+    fn min_published_epoch_scans_all_slots() {
+        let snap = Snapshot::new(0u8, 4);
+        assert_eq!(snap.min_published_epoch(), None);
+        assert_eq!(snap.published(), 0);
+        let reg = snap.registry();
+        let (a, b, c) = (reg.allocate().unwrap(), reg.allocate().unwrap(), reg.allocate().unwrap());
+        snap.publish_epoch(a, 12);
+        snap.publish_epoch(b, 3);
+        snap.publish_epoch(c, 44);
+        assert_eq!(snap.min_published_epoch(), Some(3));
+        assert_eq!(snap.published(), 3);
+        snap.clear_epoch(b);
+        assert_eq!(snap.min_published_epoch(), Some(12));
+        assert_eq!(snap.published(), 2);
+        for pid in [a, c] {
+            snap.clear_epoch(pid);
+        }
+        assert_eq!(snap.min_published_epoch(), None);
+        for pid in [a, b, c] {
+            reg.release(pid);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "empty sentinel")]
+    fn epoch_zero_is_rejected() {
+        let snap = Snapshot::new(0u8, 1);
+        let pid = snap.registry().allocate().unwrap();
+        snap.publish_epoch(pid, 0);
+    }
+
+    #[test]
+    #[cfg_attr(not(debug_assertions), ignore = "debug_assert-only oracle")]
+    #[should_panic(expected = "published epoch still pinned")]
+    fn release_with_published_epoch_is_caught() {
+        // A leased guard's token returning its pid before the slot is
+        // cleared (the guard's drop clears it first).
+        let snap = Snapshot::new(0u8, 1);
+        let (pid, source) = lease_pid(snap.registry()).unwrap();
+        snap.publish_epoch(pid, 1);
+        drop(LeaseToken {
+            registry: snap.registry(),
+            epoch: &snap.epochs[pid.index()],
+            pid,
+            source,
+        });
     }
 
     #[test]
